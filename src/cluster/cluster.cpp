@@ -337,9 +337,6 @@ bool Cluster::store_unit(const std::string& name, const StripeLocation& loc,
 
   StoredUnit unit;
   unit.bytes.assign(src, src + unit_size_);
-  // The recorded checksum is of the *intended* bytes: injected write
-  // corruption must stay detectable on read.
-  unit.crc = storage::crc32c({src, unit_size_});
   if (injector_ != nullptr &&
       !injector_->on_write(node, storage::FaultInjector::key(name, s, u),
                            unit.bytes)) {

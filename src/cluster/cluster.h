@@ -243,9 +243,11 @@ class Cluster {
  private:
   friend class RepairCoordinator;
 
+  /// A unit's payload. Its checksum lives in StripeLocation::unit_crcs,
+  /// the intended contents, so injected write corruption stays
+  /// detectable on read.
   struct StoredUnit {
     std::vector<std::uint8_t> bytes;
-    std::uint32_t crc = 0;
   };
   struct Node {
     bool failed = false;

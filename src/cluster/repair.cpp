@@ -380,7 +380,6 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
           }
           Cluster::StoredUnit su;
           su.bytes = recovered[i];
-          su.crc = loc.unit_crcs[uid];
           if (cluster_.injector_ != nullptr &&
               !cluster_.injector_->on_write(
                   target, storage::FaultInjector::key(name, s, uid),

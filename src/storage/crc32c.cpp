@@ -2,6 +2,9 @@
 
 #include <array>
 
+#include "storage/crc32c_sse42.h"
+#include "tensor/variant.h"
+
 namespace tvmec::storage {
 
 namespace {
@@ -31,15 +34,11 @@ const Tables& tables() {
   return t;
 }
 
-}  // namespace
-
-std::uint32_t crc32c_extend(std::uint32_t crc,
-                            std::span<const std::uint8_t> data) noexcept {
+/// Portable slicing-by-8 over a raw (inverted) state: the only path on
+/// non-x86 builds and on CPUs without SSE4.2.
+std::uint32_t crc32c_slicing8(std::uint32_t crc, const std::uint8_t* p,
+                              std::size_t len) noexcept {
   const Tables& t = tables();
-  crc = ~crc;
-  const std::uint8_t* p = data.data();
-  std::size_t len = data.size();
-  // Slicing-by-8 main loop.
   while (len >= 8) {
     const std::uint32_t lo = crc ^ (static_cast<std::uint32_t>(p[0]) |
                                     (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -53,7 +52,20 @@ std::uint32_t crc32c_extend(std::uint32_t crc,
     len -= 8;
   }
   while (len-- > 0) crc = (crc >> 8) ^ t.slice[0][(crc ^ *p++) & 0xFF];
-  return ~crc;
+  return crc;
+}
+
+Crc32cKernel select_kernel() noexcept {
+  const Crc32cKernel hw = crc32c_kernel_sse42();
+  return hw != nullptr && tensor::cpu_features().sse42 ? hw : &crc32c_slicing8;
+}
+
+}  // namespace
+
+std::uint32_t crc32c_extend(std::uint32_t crc,
+                            std::span<const std::uint8_t> data) noexcept {
+  static const Crc32cKernel kernel = select_kernel();
+  return ~kernel(~crc, data.data(), data.size());
 }
 
 std::uint32_t crc32c(std::span<const std::uint8_t> data) noexcept {

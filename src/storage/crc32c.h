@@ -8,8 +8,11 @@
 /// protect against *loss*, checksums against *silent corruption*, and a
 /// scrubber uses the checksum to decide which unit to rebuild.
 ///
-/// Software slicing-by-8 implementation (tables built once at first
-/// use); matches the iSCSI/ext4/RocksDB CRC-32C test vectors.
+/// Two paths, chosen once at first use: on x86-64 CPUs with SSE4.2 a
+/// hardware kernel (crc32c_sse42.cpp) runs the crc32 instruction over
+/// three independent lanes and joins them with a GF(2) multiply; every
+/// other build or CPU runs portable slicing-by-8. Both return identical
+/// values and match the iSCSI/ext4/RocksDB CRC-32C test vectors.
 namespace tvmec::storage {
 
 /// CRC of a whole buffer.

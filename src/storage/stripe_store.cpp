@@ -34,9 +34,9 @@ bool StripeStore::store_unit(const std::string& name,
 
   StoredUnit stored;
   stored.bytes.assign(src, src + unit_size_);
-  // Checksum the intended bytes *before* fault injection: a torn or
-  // flipped persisted copy must disagree with its own checksum.
-  stored.crc = crc32c({src, unit_size_});
+  // The caller's checksum of the intended bytes, taken *before* fault
+  // injection: a torn or flipped persisted copy must disagree with it.
+  stored.crc = loc.unit_crcs[u];
   if (injector_ &&
       !injector_->on_write(node_id, FaultInjector::key(name, s, u),
                            stored.bytes)) {

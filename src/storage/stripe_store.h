@@ -172,8 +172,9 @@ class StripeStore {
 
   /// Persists `src` (unit_size_ bytes) as unit u of stripe s on its
   /// node, through the fault injector (which may corrupt the stored copy
-  /// or crash the node). The recorded checksum is always of the
-  /// *intended* bytes, so injected write faults stay detectable.
+  /// or crash the node). The recorded checksum is `loc.unit_crcs[u]`,
+  /// which the caller has set to the CRC of the *intended* bytes, so
+  /// injected write faults stay detectable.
   /// Returns false when the node is down and nothing was stored.
   bool store_unit(const std::string& name, const StripeLocation& loc,
                   std::size_t s, std::size_t u, const std::uint8_t* src);

@@ -31,6 +31,7 @@ CpuFeatures detect() {
   CpuFeatures f;
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return f;
+  f.sse42 = (ecx >> 20) & 1;  // xmm-only: needs no XSAVE state
   const bool osxsave = (ecx >> 27) & 1;
   if (!osxsave) return f;  // no XGETBV -> no extended state at all
   const std::uint64_t xcr0 = read_xcr0();

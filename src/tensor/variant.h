@@ -48,6 +48,7 @@ std::optional<KernelVariant> variant_from_string(std::string_view name) noexcept
 /// is included in the checks (XGETBV), so e.g. `avx2` is true only when
 /// ymm state is actually saved/restored.
 struct CpuFeatures {
+  bool sse42 = false;  ///< CRC32 instruction (storage::crc32c)
   bool avx2 = false;
   bool avx512f = false;
   bool avx512bw = false;
