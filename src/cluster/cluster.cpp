@@ -32,26 +32,23 @@ const char* to_string(DamageKind k) noexcept {
 
 Cluster::Cluster(const ec::CodeParams& params, std::size_t unit_size,
                  const ClusterConfig& config)
-    : params_(params),
-      unit_size_(unit_size),
+    : StripeLayout(params, unit_size, config.num_nodes, this),
       config_(config),
-      codec_(params),
       net_(config.num_nodes, config.num_domains, config.net, config.seed),
-      nodes_(config.num_nodes),
-      retry_(config.retry),
       ewma_(config.num_nodes) {
-  ec::packet_bytes(params, unit_size);  // validates unit_size
   if (config.num_nodes < params.n())
     throw std::invalid_argument(
         "Cluster: need at least k + r nodes for distinct placement");
+  engine_.set_retry_policy(config.retry);
   repairer_ = std::make_unique<RepairCoordinator>(*this);
 }
 
 Cluster::~Cluster() = default;
 
-void Cluster::set_plan_cache(std::shared_ptr<core::PlanCache> cache) {
-  plan_cache_ = cache;
-  codec_.set_plan_cache(std::move(cache));
+const ClusterStats& Cluster::stats() const noexcept {
+  stats_.corruptions_detected = engine_.stats().corruptions_detected;
+  stats_.failed_nodes = engine_.stats().failed_nodes;
+  return stats_;
 }
 
 void Cluster::set_repair_config(const RepairConfig& config) {
@@ -62,50 +59,53 @@ const RepairStats& Cluster::repair_stats() const {
   return repairer_->stats();
 }
 
+bool Cluster::carry(std::size_t node, bool to_node,
+                    std::uint64_t& latency_us) {
+  const SendResult r = to_node
+                           ? net_.send(net_.client(), node, unit_size())
+                           : net_.send(node, net_.client(), unit_size());
+  latency_us += r.latency_us;
+  return r.delivered;
+}
+
 void Cluster::put(const std::string& name,
                   std::span<const std::uint8_t> bytes) {
   remove(name);
-  const std::size_t k = params_.k;
-  const std::size_t n = params_.n();
-  const std::size_t stripe_data = k * unit_size_;
-  const std::size_t num_stripes =
-      bytes.empty() ? 0 : (bytes.size() + stripe_data - 1) / stripe_data;
+  const std::size_t n = params().n();
+  const std::size_t unit = unit_size();
+  const std::size_t stripe_data = params().k * unit;
+  const std::size_t num_stripes = engine_.stripe_count(bytes.size());
 
-  ObjectMeta meta;
-  meta.size = bytes.size();
-  std::vector<std::uint8_t> stripe(n * unit_size_);
+  std::vector<std::uint8_t> stripe(n * unit);
   std::vector<std::size_t> failed_stripes;
   for (std::size_t s = 0; s < num_stripes; ++s) {
     // Place this stripe's n units on consecutive nodes from a rotating
     // start: with domain_of(i) == i % D, consecutive node ids round-robin
     // the failure domains, so the stripe spreads over min(n, D) domains.
-    StripeLocation loc;
-    loc.nodes.resize(n);
+    std::vector<std::size_t> nodes(n);
     const std::size_t start = next_rotation_++;
-    for (std::size_t u = 0; u < n; ++u)
-      loc.nodes[u] = (start + u) % nodes_.size();
+    for (std::size_t u = 0; u < n; ++u) nodes[u] = (start + u) % num_nodes();
 
-    std::fill(stripe.begin(), stripe.end(), 0);
     const std::size_t off = s * stripe_data;
     const std::size_t take = std::min(stripe_data, bytes.size() - off);
     std::memcpy(stripe.data(), bytes.data() + off, take);
-    codec_.encode(std::span<const std::uint8_t>(stripe.data(), stripe_data),
-                  std::span<std::uint8_t>(stripe.data() + stripe_data,
-                                          (n - k) * unit_size_),
-                  unit_size_);
+    std::memset(stripe.data() + take, 0, stripe_data - take);
+    engine_.encode(stripe.data());
 
-    loc.unit_crcs.resize(n);
-    for (std::size_t u = 0; u < n; ++u)
-      loc.unit_crcs[u] = storage::crc32c(
-          {stripe.data() + u * unit_size_, unit_size_});
+    // Each unit ships client -> node over the network, then persists.
+    Stripe& st = engine_.add_stripe(name, s, std::move(nodes));
     bool stripe_ok = true;
-    for (std::size_t u = 0; u < n; ++u)
-      stripe_ok &= store_unit(name, loc, s, u, stripe.data() + u * unit_size_);
+    for (std::size_t u = 0; u < n; ++u) {
+      std::uint64_t latency = 0;
+      stripe_ok &= engine_.store_unit(st, u, stripe.data() + u * unit,
+                                      &latency);
+      stats_.write_virtual_us += latency;
+      net_.advance(latency);
+    }
     if (!stripe_ok) failed_stripes.push_back(s);
-    meta.stripes.push_back(std::move(loc));
     ++stats_.stripes_written;
   }
-  objects_[name] = std::move(meta);
+  objects_[name] = bytes.size();
   stats_.objects = objects_.size();
   // Write failures become damage events only once the object metadata is
   // registered — the healer re-assesses the stripe through objects_.
@@ -118,16 +118,15 @@ std::optional<std::vector<std::uint8_t>> Cluster::get(
     const std::string& name) {
   const auto it = objects_.find(name);
   if (it == objects_.end()) return std::nullopt;
-  const ObjectMeta& meta = it->second;
+  const std::size_t size = it->second;
   std::vector<std::uint8_t> out;
-  out.reserve(meta.size);
-  const std::size_t stripe_data = params_.k * unit_size_;
-  for (std::size_t s = 0; s < meta.stripes.size(); ++s) {
-    const auto stripe = read_stripe(name, meta, s);
-    const std::size_t take = std::min(stripe_data, meta.size - out.size());
+  out.reserve(size);
+  const std::size_t stripe_data = params().k * unit_size();
+  for (std::size_t s = 0; s < engine_.stripe_count(size); ++s) {
+    const auto stripe = read_stripe(name, s);
+    const std::size_t take = std::min(stripe_data, size - out.size());
     out.insert(out.end(), stripe.data(), stripe.data() + take);
   }
-  out.resize(meta.size);
   foreground_bytes_ += out.size();
   return out;
 }
@@ -139,81 +138,57 @@ bool Cluster::exists(const std::string& name) const {
 void Cluster::remove(const std::string& name) {
   const auto it = objects_.find(name);
   if (it == objects_.end()) return;
-  for (std::size_t s = 0; s < it->second.stripes.size(); ++s) {
-    const auto& loc = it->second.stripes[s];
-    for (std::size_t u = 0; u < loc.nodes.size(); ++u)
-      nodes_[loc.nodes[u]].units.erase({name, s, u});
-  }
+  for (std::size_t s = 0; s < engine_.stripe_count(it->second); ++s)
+    engine_.remove_stripe(name, s);
   objects_.erase(it);
   stats_.objects = objects_.size();
 }
 
 void Cluster::fail_node(std::size_t node) {
-  if (node >= nodes_.size())
+  if (node >= num_nodes())
     throw std::invalid_argument("Cluster: node out of range");
-  mark_node_failed(node);
-}
-
-void Cluster::mark_node_failed(std::size_t node) {
-  Node& n = nodes_[node];
-  if (n.failed) return;
-  n.failed = true;
-  // Record what died with the machine: the re-replication debt a later
-  // revive owes (revive_node turns these into Revive damage events).
-  n.lost_units.clear();
-  n.lost_units.reserve(n.units.size());
-  for (const auto& [key, unit] : n.units) n.lost_units.push_back(key);
-  n.units.clear();
-  ++stats_.failed_nodes;
+  engine_.fail_node(node);
 }
 
 void Cluster::revive_node(std::size_t node) {
-  if (node >= nodes_.size())
+  if (node >= num_nodes())
     throw std::invalid_argument("Cluster: node out of range");
-  // Clear injector crash state even when the failure never reached the
-  // cluster's own bookkeeping (a crash observed by no op yet).
-  if (injector_ != nullptr) injector_->repair_node(node);
-  Node& n = nodes_[node];
-  if (!n.failed) return;
-  n.failed = false;
-  if (stats_.failed_nodes > 0) --stats_.failed_nodes;
-  // The node rejoins empty: everything it held is re-replication debt.
-  // Report each affected stripe once; the healer re-assesses, so stripes
-  // repair already re-placed elsewhere resolve as clean.
-  stats_.units_lost_on_revive += n.lost_units.size();
+  // The engine clears injector crash state even when the failure never
+  // reached its bookkeeping (a crash observed by no op yet). The node
+  // rejoins empty: everything it held is re-replication debt. Report
+  // each affected stripe once; the healer re-assesses, so stripes repair
+  // already re-placed elsewhere resolve as clean.
+  const auto lost = engine_.revive_node(node);
+  stats_.units_lost_on_revive += lost.size();
   std::set<std::pair<std::string, std::size_t>> seen;
-  for (const auto& [name, s, u] : n.lost_units)
+  for (const auto& [name, s, u] : lost)
     if (seen.emplace(name, s).second)
       report_damage(DamageKind::Revive, name, s);
-  n.lost_units.clear();
 }
 
 bool Cluster::node_failed(std::size_t node) const {
-  return node < nodes_.size() &&
-         (nodes_[node].failed ||
-          (injector_ != nullptr && injector_->crashed(node)));
+  const storage::FaultInjector* injector = fault_injector();
+  return node < num_nodes() &&
+         (engine_.node_failed(node) ||
+          (injector != nullptr && injector->crashed(node)));
 }
 
 bool Cluster::node_usable(std::size_t node) const {
-  if (node >= nodes_.size()) return false;
-  if (nodes_[node].failed) return false;  // locally observed death
+  if (node >= num_nodes()) return false;
+  if (engine_.node_failed(node)) return false;  // locally observed death
   // With a failure detector attached its verdict replaces the omniscient
   // injector peek; undetected crashes are discovered the honest way, by
   // an op failing against the node.
   if (membership_ != nullptr) return membership_->routable(node);
-  return !(injector_ != nullptr && injector_->crashed(node));
+  return !node_failed(node);
 }
 
 std::vector<std::pair<std::string, std::size_t>> Cluster::stripes_on_node(
     std::size_t node) const {
   std::vector<std::pair<std::string, std::size_t>> out;
-  for (const auto& [name, meta] : objects_)
-    for (std::size_t s = 0; s < meta.stripes.size(); ++s)
-      for (const std::size_t holder : meta.stripes[s].nodes)
-        if (holder == node) {
-          out.emplace_back(name, s);
-          break;
-        }
+  for (const auto& [key, st] : engine_.stripes())
+    if (std::find(st.nodes.begin(), st.nodes.end(), node) != st.nodes.end())
+      out.push_back(key);
   return out;
 }
 
@@ -226,76 +201,49 @@ void Cluster::report_damage(DamageKind kind, const std::string& name,
 
 const std::vector<std::size_t>& Cluster::placement(const std::string& name,
                                                    std::size_t s) const {
-  const auto it = objects_.find(name);
-  if (it == objects_.end() || s >= it->second.stripes.size())
+  const auto it = engine_.stripes().find({name, s});
+  if (it == engine_.stripes().end())
     throw std::invalid_argument("Cluster::placement: unknown object/stripe");
-  return it->second.stripes[s].nodes;
+  return it->second.nodes;
 }
 
 std::size_t Cluster::object_stripe_count(const std::string& name) const {
   const auto it = objects_.find(name);
-  return it == objects_.end() ? 0 : it->second.stripes.size();
+  return it == objects_.end() ? 0 : engine_.stripe_count(it->second);
 }
 
 std::vector<std::string> Cluster::object_names() const {
   std::vector<std::string> names;
   names.reserve(objects_.size());
-  for (const auto& [name, meta] : objects_) names.push_back(name);
+  for (const auto& [name, size] : objects_) names.push_back(name);
   return names;
 }
 
 bool Cluster::corrupt_unit(const std::string& name, std::size_t stripe,
                            std::size_t unit) {
-  const auto it = objects_.find(name);
-  if (it == objects_.end() || stripe >= it->second.stripes.size() ||
-      unit >= params_.n())
-    return false;
-  const std::size_t node = it->second.stripes[stripe].nodes[unit];
-  if (node_failed(node)) return false;
-  const auto uit = nodes_[node].units.find({name, stripe, unit});
-  if (uit == nodes_[node].units.end()) return false;
-  uit->second.bytes[0] ^= 0x5A;
-  return true;
+  Stripe* st = engine_.find_stripe(name, stripe);
+  return st != nullptr && unit < params().n() &&
+         engine_.corrupt_unit(*st, unit);
 }
 
 std::size_t Cluster::repair() { return repairer_->repair_all(); }
 
 std::size_t Cluster::scrub() {
   std::size_t bad_units = 0;
-  for (const auto& name : object_names()) {
-    const auto it = objects_.find(name);
-    if (it == objects_.end()) continue;
-    for (std::size_t s = 0; s < it->second.stripes.size(); ++s) {
-      const StripeLocation& loc = it->second.stripes[s];
-      // Node-local integrity pass: CRC every stored copy against the
-      // metadata checksum; no payload bytes cross the network here.
-      std::size_t bad = 0;
-      for (std::size_t u = 0; u < loc.nodes.size(); ++u) {
-        const std::size_t node = loc.nodes[u];
-        if (!node_usable(node)) {
-          ++bad;
-          continue;
-        }
-        const auto uit = nodes_[node].units.find({name, s, u});
-        if (uit == nodes_[node].units.end()) {
-          ++bad;
-          continue;
-        }
-        if (storage::crc32c(uit->second.bytes) != loc.unit_crcs[u]) {
-          ++bad;
-          ++stats_.corruptions_detected;
-        }
-      }
-      if (bad > 0) {
-        bad_units += bad;
-        // With a healer attached the finding joins the risk-prioritized
-        // queue; the legacy inline repair remains the sink-less path.
-        if (damage_sink_ != nullptr)
-          report_damage(DamageKind::ScrubFinding, name, s);
-        else
-          repairer_->repair_stripe(name, s);
-      }
-    }
+  for (const auto& [key, st] : engine_.stripes()) {
+    // Node-local integrity pass: CRC every stored copy against the
+    // metadata checksum; no payload bytes cross the network here.
+    std::size_t bad = 0;
+    for (std::size_t u = 0; u < st.nodes.size(); ++u)
+      bad += engine_.probe_unit(st, u) != storage::UnitRead::Ok ? 1 : 0;
+    if (bad == 0) continue;
+    bad_units += bad;
+    // With a healer attached the finding joins the risk-prioritized
+    // queue; the legacy inline repair remains the sink-less path.
+    if (damage_sink_ != nullptr)
+      report_damage(DamageKind::ScrubFinding, key.first, key.second);
+    else
+      repairer_->repair_stripe(key.first, key.second);
   }
   return bad_units;
 }
@@ -314,157 +262,35 @@ void Cluster::update_ewma(std::size_t node, std::uint64_t latency_us) {
   ++e.samples;
 }
 
-bool Cluster::store_unit(const std::string& name, const StripeLocation& loc,
-                         std::size_t s, std::size_t u,
-                         const std::uint8_t* src) {
-  const std::size_t node = loc.nodes[u];
-  if (!node_usable(node)) return false;
-
-  // Ship the unit client -> node; a dropped message is retried under the
-  // capped-backoff policy.
-  std::uint64_t latency = 0;
-  const bool shipped = storage::with_retries(
-      retry_, retry_stats_, storage::FaultInjector::key(name, s, u),
-      [&]() {
-        const SendResult r = net_.send(net_.client(), node, unit_size_);
-        latency += r.latency_us;
-        return r.delivered ? storage::Attempt::Success
-                           : storage::Attempt::Retry;
-      });
-  stats_.write_virtual_us += latency;
-  net_.advance(latency);
-  if (!shipped) return false;
-
-  StoredUnit unit;
-  unit.bytes.assign(src, src + unit_size_);
-  if (injector_ != nullptr &&
-      !injector_->on_write(node, storage::FaultInjector::key(name, s, u),
-                           unit.bytes)) {
-    mark_node_failed(node);
-    return false;
-  }
-  nodes_[node].units[{name, s, u}] = std::move(unit);
-  return true;
-}
-
-Cluster::UnitRead Cluster::read_unit_rpc(const std::string& name,
-                                         const StripeLocation& loc,
-                                         std::size_t s, std::size_t u,
-                                         std::uint8_t* dest,
-                                         std::uint64_t* latency_us) {
-  const std::size_t node = loc.nodes[u];
-  if (!node_usable(node)) return UnitRead::Missing;
-
-  UnitRead result = UnitRead::Missing;
-  std::uint64_t latency = 0;
-  storage::with_retries(
-      retry_, retry_stats_, storage::FaultInjector::key(name, s, u),
-      [&]() {
-        const auto uit = nodes_[node].units.find({name, s, u});
-        if (uit == nodes_[node].units.end()) {
-          result = UnitRead::Missing;
-          return storage::Attempt::Abort;
-        }
-        std::vector<std::uint8_t> copy = uit->second.bytes;
-        if (injector_ != nullptr) {
-          switch (injector_->on_read(
-              node, storage::FaultInjector::key(name, s, u), copy)) {
-            case storage::ReadFault::Crash:
-              mark_node_failed(node);
-              result = UnitRead::Missing;
-              return storage::Attempt::Abort;
-            case storage::ReadFault::Transient:
-              return storage::Attempt::Retry;
-            case storage::ReadFault::None:
-              break;
-          }
-        }
-        // The response carries the unit payload node -> client.
-        const SendResult r = net_.send(node, net_.client(), unit_size_);
-        latency += r.latency_us;
-        if (!r.delivered) return storage::Attempt::Retry;
-        if (storage::crc32c(copy) != loc.unit_crcs[u]) {
-          // A read-side flip heals on re-read; persisted corruption
-          // doesn't. Either way retry once more, then report Corrupt.
-          ++stats_.corruptions_detected;
-          result = UnitRead::Corrupt;
-          return storage::Attempt::Retry;
-        }
-        std::memcpy(dest, copy.data(), unit_size_);
-        result = UnitRead::Ok;
-        return storage::Attempt::Success;
-      });
-  *latency_us = latency;
-  return result;
-}
-
-Cluster::UnitRead Cluster::read_unit_local(const std::string& name,
-                                           const StripeLocation& loc,
-                                           std::size_t s, std::size_t u,
-                                           std::uint8_t* dest) {
-  const std::size_t node = loc.nodes[u];
-  if (!node_usable(node)) return UnitRead::Missing;
-  UnitRead result = UnitRead::Missing;
-  storage::with_retries(
-      retry_, retry_stats_, storage::FaultInjector::key(name, s, u + 1000),
-      [&]() {
-        const auto uit = nodes_[node].units.find({name, s, u});
-        if (uit == nodes_[node].units.end()) {
-          result = UnitRead::Missing;
-          return storage::Attempt::Abort;
-        }
-        std::vector<std::uint8_t> copy = uit->second.bytes;
-        if (injector_ != nullptr) {
-          switch (injector_->on_read(
-              node, storage::FaultInjector::key(name, s, u), copy)) {
-            case storage::ReadFault::Crash:
-              mark_node_failed(node);
-              result = UnitRead::Missing;
-              return storage::Attempt::Abort;
-            case storage::ReadFault::Transient:
-              return storage::Attempt::Retry;
-            case storage::ReadFault::None:
-              break;
-          }
-        }
-        if (storage::crc32c(copy) != loc.unit_crcs[u]) {
-          ++stats_.corruptions_detected;
-          result = UnitRead::Corrupt;
-          return storage::Attempt::Retry;
-        }
-        std::memcpy(dest, copy.data(), unit_size_);
-        result = UnitRead::Ok;
-        return storage::Attempt::Success;
-      });
-  return result;
-}
-
 std::vector<std::uint8_t> Cluster::read_stripe(const std::string& name,
-                                               const ObjectMeta& meta,
                                                std::size_t s) {
-  const std::size_t k = params_.k;
-  const std::size_t n = params_.n();
-  const StripeLocation& loc = meta.stripes[s];
-  std::vector<std::uint8_t> stripe(n * unit_size_);
+  const std::size_t k = params().k;
+  const std::size_t n = params().n();
+  const std::size_t unit = unit_size();
+  Stripe& st = *engine_.find_stripe(name, s);
+  std::vector<std::uint8_t> stripe(n * unit);
   std::vector<bool> have(n, false);
   std::vector<std::size_t> erased;
   std::uint64_t stripe_latency = 0;
   const HedgeConfig& hedge = config_.hedge;
+  // One RPC: the unit read on its node plus the response hop, straight
+  // into the stripe buffer.
+  const auto fetch = [&](std::size_t u, std::uint64_t* latency) {
+    return engine_.read_unit(st, u, stripe.data() + u * unit, latency) ==
+           storage::UnitRead::Ok;
+  };
 
   // Fan out the k data-unit reads (modeled as parallel: the stripe's
   // latency is the slowest unit's effective latency).
   for (std::size_t u = 0; u < k; ++u) {
     std::uint64_t latency = 0;
-    const UnitRead r =
-        read_unit_rpc(name, loc, s, u, stripe.data() + u * unit_size_,
-                      &latency);
-    if (r != UnitRead::Ok) {
+    if (!fetch(u, &latency)) {
       erased.push_back(u);
       continue;
     }
     have[u] = true;
     std::uint64_t effective = latency;
-    const std::size_t node = loc.nodes[u];
+    const std::size_t node = st.nodes[u];
     const Ewma ewma_before = ewma_[node];
     update_ewma(node, latency);
     // Hedge: the straggler blew its EWMA budget, so a second request
@@ -476,15 +302,12 @@ std::vector<std::uint8_t> Cluster::read_stripe(const std::string& name,
                                                      ewma_before.value);
       if (latency > budget) {
         for (std::size_t p = k; p < n; ++p) {
-          if (have[p] || !node_usable(loc.nodes[p])) continue;
+          if (have[p] || !node_usable(st.nodes[p])) continue;
           ++stats_.hedged_reads;
           std::uint64_t hedge_latency = 0;
-          const UnitRead hr =
-              read_unit_rpc(name, loc, s, p,
-                            stripe.data() + p * unit_size_, &hedge_latency);
-          if (hr == UnitRead::Ok) {
+          if (fetch(p, &hedge_latency)) {
             have[p] = true;
-            update_ewma(loc.nodes[p], hedge_latency);
+            update_ewma(st.nodes[p], hedge_latency);
             if (budget + hedge_latency < latency) {
               ++stats_.hedge_wins;
               effective = budget + hedge_latency;
@@ -503,12 +326,9 @@ std::vector<std::uint8_t> Cluster::read_stripe(const std::string& name,
     for (std::size_t u = k; u < n; ++u) {
       if (have[u]) continue;
       std::uint64_t latency = 0;
-      const UnitRead r =
-          read_unit_rpc(name, loc, s, u, stripe.data() + u * unit_size_,
-                        &latency);
-      if (r == UnitRead::Ok) {
+      if (fetch(u, &latency)) {
         have[u] = true;
-        update_ewma(loc.nodes[u], latency);
+        update_ewma(st.nodes[u], latency);
         stripe_latency = std::max(stripe_latency, latency);
       } else {
         erased.push_back(u);
@@ -518,16 +338,7 @@ std::vector<std::uint8_t> Cluster::read_stripe(const std::string& name,
     // deciding recoverability, so even a stripe that turns out to be
     // past r reaches the healer's ledger.
     report_damage(DamageKind::ReadCorruption, name, s);
-    if (erased.size() > params_.r)
-      throw std::runtime_error(
-          "Cluster::get: stripe unrecoverable (more than r units lost)");
-    codec_.decode(stripe, erased, unit_size_);
-    for (const std::size_t u : erased) {
-      if (storage::crc32c({stripe.data() + u * unit_size_, unit_size_}) !=
-          loc.unit_crcs[u])
-        throw std::runtime_error(
-            "Cluster::get: reconstructed unit failed checksum");
-    }
+    engine_.rebuild(st, stripe, erased, "Cluster::get");
     ++stats_.degraded_reads;
   }
 

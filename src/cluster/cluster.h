@@ -10,29 +10,29 @@
 #include "cluster/net.h"
 #include "core/tvmec.h"
 #include "ec/code_params.h"
-#include "storage/crc32c.h"
-#include "storage/fault_injector.h"
-#include "storage/retry.h"
+#include "storage/stripe_engine.h"
 
-/// A deterministic simulated multi-node erasure-coded cluster — the
-/// multi-node counterpart of StripeStore. Each ClusterNode owns a local
-/// unit store; every unit that moves between endpoints moves over the
-/// modeled Network (so traffic, latency, and link faults are accounted),
-/// and every local disk op consults the shared FaultInjector (so disk
-/// and wire chaos replay from one seed).
+/// A deterministic simulated multi-node erasure-coded cluster: a layout
+/// over the shared storage::StripeEngine (the same unit pipeline as
+/// StripeStore, RaidArray and CheckpointManager) whose units move over
+/// the modeled Network, so traffic, latency and link faults are
+/// accounted, and whose disk ops consult the shared FaultInjector, so
+/// disk and wire chaos replay from one seed.
 ///
-/// Robustness features this layer adds over StripeStore:
+/// What this layout adds on top of the engine:
 ///  - stripe placement across failure domains (a stripe's n units spread
 ///    over min(n, num_domains) domains, so one domain outage costs at
 ///    most ceil(n/domains) units per stripe)
-///  - degraded reads: dead/slow/corrupt units detected per-RPC (timeout
-///    == retry exhaustion under storage::RetryPolicy) fall back to
+///  - routing by the membership view: a unit on a node the failure
+///    detector calls Dead reads as missing (RPC timeout == retry
+///    exhaustion under storage::RetryPolicy), and reads degrade to
 ///    decode-through-survivors on the client
 ///  - hedged reads: a per-node EWMA latency tracker arms a hedge budget;
 ///    a straggling read past multiplier x EWMA triggers a second,
 ///    parity-backed request, and the modeled completion takes the
 ///    faster path (the recovered bytes are identical either way —
 ///    asserted against metadata CRCs)
+///  - damage events for the healer, and DAG repair
 ///
 /// Repair (DAG-based, partial aggregation at helpers) lives in
 /// cluster/repair.h; Cluster::scrub() and Cluster::repair() drive it.
@@ -104,8 +104,17 @@ struct ClusterStats {
   std::uint64_t write_virtual_us = 0;
 };
 
-class Cluster {
+// Transport comes first: it must be constructed before the layout's
+// engine is handed a pointer to it. The layout base is private so no
+// caller can attach an injector to the disks but not the network.
+class Cluster : private storage::StripeEngine::Transport,
+                private storage::StripeLayout {
  public:
+  using StripeLayout::fault_injector;
+  using StripeLayout::retry_policy;
+  using StripeLayout::retry_stats;
+  using StripeLayout::set_retry_policy;
+
   /// num_nodes must be >= k + r (distinct nodes per stripe). unit_size
   /// follows the codec contract (positive multiple of w bytes).
   Cluster(const ec::CodeParams& params, std::size_t unit_size,
@@ -115,9 +124,9 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  const ec::CodeParams& params() const noexcept { return params_; }
-  std::size_t unit_size() const noexcept { return unit_size_; }
-  std::size_t num_nodes() const noexcept { return nodes_.size(); }
+  const ec::CodeParams& params() const noexcept { return engine_.params(); }
+  std::size_t unit_size() const noexcept { return engine_.unit_size(); }
+  std::size_t num_nodes() const noexcept { return engine_.num_nodes(); }
   std::size_t num_domains() const noexcept { return net_.num_domains(); }
   std::size_t domain_of(std::size_t node) const noexcept {
     return net_.domain_of(node);
@@ -125,32 +134,23 @@ class Cluster {
 
   Network& net() noexcept { return net_; }
   const Network& net() const noexcept { return net_; }
-  core::Codec& codec() noexcept { return codec_; }
+  core::Codec& codec() noexcept { return engine_.codec(); }
 
   /// Attaches the one fault injector to both the disk ops and the
   /// network links. Non-owning; null detaches.
   void attach_fault_injector(storage::FaultInjector* injector) noexcept {
-    injector_ = injector;
+    engine_.attach_fault_injector(injector);
     net_.attach_fault_injector(injector);
-  }
-  storage::FaultInjector* fault_injector() const noexcept {
-    return injector_;
-  }
-
-  void set_retry_policy(const storage::RetryPolicy& policy) noexcept {
-    retry_ = policy;
-  }
-  const storage::RetryPolicy& retry_policy() const noexcept { return retry_; }
-  const storage::RetryStats& retry_stats() const noexcept {
-    return retry_stats_;
   }
 
   /// Shares a decode-plan cache across degraded reads, the repair
   /// coordinator (which keys plans with a locality dimension), and any
   /// other consumers. Null detaches.
-  void set_plan_cache(std::shared_ptr<core::PlanCache> cache);
+  void set_plan_cache(std::shared_ptr<core::PlanCache> cache) {
+    engine_.codec().set_plan_cache(std::move(cache));
+  }
   const std::shared_ptr<core::PlanCache>& plan_cache() const noexcept {
-    return plan_cache_;
+    return engine_.codec().plan_cache();
   }
 
   /// Stores an object: stripes of k*unit_size bytes (last zero-padded),
@@ -235,81 +235,36 @@ class Cluster {
   void set_repair_config(const RepairConfig& config);
   const RepairStats& repair_stats() const;
 
-  const ClusterStats& stats() const noexcept { return stats_; }
+  const ClusterStats& stats() const noexcept;
   const HedgeConfig& hedge_config() const noexcept { return config_.hedge; }
   /// Current EWMA read latency for a node (0 until sampled).
   double node_ewma_us(std::size_t node) const;
 
  private:
   friend class RepairCoordinator;
+  using Stripe = storage::StripeEngine::Stripe;
 
-  /// A unit's payload. Its checksum lives in StripeLocation::unit_crcs,
-  /// the intended contents, so injected write corruption stays
-  /// detectable on read.
-  struct StoredUnit {
-    std::vector<std::uint8_t> bytes;
-  };
-  struct Node {
-    bool failed = false;
-    std::map<std::tuple<std::string, std::size_t, std::size_t>, StoredUnit>
-        units;
-    /// Unit keys held when the node was marked failed — the
-    /// re-replication debt a later revive owes (see revive_node).
-    std::vector<std::tuple<std::string, std::size_t, std::size_t>> lost_units;
-  };
-  struct StripeLocation {
-    std::vector<std::size_t> nodes;      ///< node per unit, n entries
-    std::vector<std::uint32_t> unit_crcs;  ///< intended contents, n entries
-  };
-  struct ObjectMeta {
-    std::size_t size = 0;
-    std::vector<StripeLocation> stripes;
-  };
-
-  enum class UnitRead { Ok, Missing, Corrupt };
-
-  /// One remote unit read: RPC over the network with retries, disk
-  /// faults, CRC verification against metadata (one re-read on
-  /// mismatch). On Ok, dest holds unit_size_ bytes and *latency_us the
-  /// modeled response latency of the winning attempt.
-  UnitRead read_unit_rpc(const std::string& name, const StripeLocation& loc,
-                         std::size_t s, std::size_t u, std::uint8_t* dest,
-                         std::uint64_t* latency_us);
-
-  /// Node-local read used by repair helpers (no client RPC): disk faults
-  /// + CRC only.
-  UnitRead read_unit_local(const std::string& name, const StripeLocation& loc,
-                           std::size_t s, std::size_t u, std::uint8_t* dest);
-
-  /// Ships `src` over the network and persists it as unit u on its
-  /// node (write faults apply). False when the unit could not be stored.
-  bool store_unit(const std::string& name, const StripeLocation& loc,
-                  std::size_t s, std::size_t u, const std::uint8_t* src);
+  // The engine's transport: routing by node_usable(), unit payloads
+  // carried client <-> node over net_.
+  bool usable(std::size_t node) override { return node_usable(node); }
+  bool carry(std::size_t node, bool to_node,
+             std::uint64_t& latency_us) override;
 
   /// Reads stripe s with degradation + hedging; returns the full n-unit
   /// buffer and accumulates modeled latency.
   std::vector<std::uint8_t> read_stripe(const std::string& name,
-                                        const ObjectMeta& meta, std::size_t s);
+                                        std::size_t s);
 
   void update_ewma(std::size_t node, std::uint64_t latency_us);
-  void mark_node_failed(std::size_t node);
   /// Emits a damage event when a sink is attached (no-op otherwise).
   void report_damage(DamageKind kind, const std::string& name,
                      std::size_t stripe);
 
-  ec::CodeParams params_;
-  std::size_t unit_size_;
   ClusterConfig config_;
-  core::Codec codec_;
   Network net_;
-  std::vector<Node> nodes_;
-  std::map<std::string, ObjectMeta> objects_;
-  ClusterStats stats_;
+  std::map<std::string, std::size_t> objects_;  ///< name -> size in bytes
+  mutable ClusterStats stats_;
   std::size_t next_rotation_ = 0;
-  storage::FaultInjector* injector_ = nullptr;
-  storage::RetryPolicy retry_;
-  storage::RetryStats retry_stats_;
-  std::shared_ptr<core::PlanCache> plan_cache_;
   struct Ewma {
     double value = 0.0;
     std::uint32_t samples = 0;

@@ -5,23 +5,13 @@
 #include <stdexcept>
 
 #include "core/gemm_coder.h"
+#include "storage/crc32c.h"
 
 namespace tvmec::cluster {
 
 namespace {
 
 constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
-
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 void xor_into(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
@@ -41,10 +31,9 @@ RepairCoordinator::RepairCoordinator(Cluster& cluster,
     : cluster_(cluster), config_(config) {}
 
 std::vector<std::size_t> RepairCoordinator::pick_replacements(
-    const Cluster::StripeLocation& loc,
-    const std::vector<std::size_t>& erased) {
+    const Stripe& loc, const std::vector<std::size_t>& erased) {
   std::vector<std::size_t> picks;
-  std::vector<bool> taken(cluster_.nodes_.size(), false);
+  std::vector<bool> taken(cluster_.num_nodes(), false);
   for (const std::size_t node : loc.nodes)
     if (node < taken.size()) taken[node] = true;
   for (const std::size_t uid : erased) {
@@ -58,7 +47,7 @@ std::vector<std::size_t> RepairCoordinator::pick_replacements(
     // the placement's domain spread survives the repair.
     const std::size_t want_domain = cluster_.domain_of(orig);
     std::size_t chosen = kNoNode;
-    for (std::size_t node = 0; node < cluster_.nodes_.size(); ++node) {
+    for (std::size_t node = 0; node < cluster_.num_nodes(); ++node) {
       if (taken[node] || !cluster_.node_usable(node)) continue;
       if (cluster_.domain_of(node) == want_domain) {
         chosen = node;
@@ -74,7 +63,7 @@ std::vector<std::size_t> RepairCoordinator::pick_replacements(
 }
 
 std::optional<RepairPlan> RepairCoordinator::build_plan(
-    const Cluster::StripeLocation& loc, const StripeDamage& damage,
+    const Stripe& loc, const StripeDamage& damage,
     const std::vector<bool>& excluded, std::size_t root_node) {
   // Survivor preference: the root's domain first, then the remaining
   // survivors grouped by domain — a plan drawn from few domains means
@@ -86,7 +75,7 @@ std::optional<RepairPlan> RepairCoordinator::build_plan(
     if (!cluster_.node_usable(node) || excluded[node]) continue;
     pref.push_back(uid);
   }
-  if (pref.size() < cluster_.params_.k) return std::nullopt;
+  if (pref.size() < cluster_.params().k) return std::nullopt;
   if (config_.prefer_domain_local) {
     std::stable_sort(pref.begin(), pref.end(),
                      [&](std::size_t a, std::size_t b) {
@@ -102,36 +91,34 @@ std::optional<RepairPlan> RepairCoordinator::build_plan(
 
   // The locality dimension of the cache key: same loss pattern, different
   // survivor preference (placement/exclusions) => different plan entry.
-  std::uint64_t locality = fnv_mix(kFnvOffset, root_domain + 1);
-  for (const std::size_t uid : pref) locality = fnv_mix(locality, uid + 1);
+  std::uint64_t locality = root_domain + 1;
+  for (const std::size_t uid : pref)
+    locality = storage::FaultInjector::key(locality, uid + 1);
 
-  std::vector<std::size_t> erased_sorted = damage.erased;
-  std::sort(erased_sorted.begin(), erased_sorted.end());
-
-  const gf::Matrix& generator = cluster_.codec_.code().generator();
+  const gf::Matrix& generator = cluster_.codec().code().generator();
   std::shared_ptr<const ec::DecodePlan> plan;
-  if (cluster_.plan_cache_ != nullptr) {
-    core::PlanKey key{cluster_.params_.k,
-                      cluster_.params_.r,
-                      cluster_.params_.w,
-                      cluster_.codec_.code().family(),
+  if (cluster_.plan_cache() != nullptr) {
+    core::PlanKey key{cluster_.params().k,
+                      cluster_.params().r,
+                      cluster_.params().w,
+                      cluster_.codec().code().family(),
                       false,
-                      erased_sorted,
+                      damage.erased,
                       locality};
-    plan = cluster_.plan_cache_->get_or_build(key, [&]() {
-      return ec::make_decode_plan_with_survivors(generator, erased_sorted,
+    plan = cluster_.plan_cache()->get_or_build(key, [&]() {
+      return ec::make_decode_plan_with_survivors(generator, damage.erased,
                                                  pref);
     });
   } else {
     auto built =
-        ec::make_decode_plan_with_survivors(generator, erased_sorted, pref);
+        ec::make_decode_plan_with_survivors(generator, damage.erased, pref);
     if (built)
       plan = std::make_shared<const ec::DecodePlan>(std::move(*built));
   }
   if (plan == nullptr) return std::nullopt;
 
   RepairPlan out;
-  out.erased = erased_sorted;
+  out.erased = damage.erased;
   out.decode = plan;
   out.root_node = root_node;
   for (std::size_t i = 0; i < plan->survivors.size(); ++i) {
@@ -158,14 +145,12 @@ bool RepairCoordinator::transfer(std::size_t src, std::size_t dst,
   std::size_t index = 0;
   while (off < bytes) {
     const std::size_t take = std::min(chunk, bytes - off);
-    const bool ok = storage::with_retries(
-        cluster_.retry_, cluster_.retry_stats_,
-        fnv_mix(salt, index), [&]() {
-          const SendResult r = cluster_.net_.send(src, dst, take);
-          *serialized_us += r.latency_us;
-          return r.delivered ? storage::Attempt::Success
-                             : storage::Attempt::Retry;
-        });
+    const std::uint64_t chunk_salt = storage::FaultInjector::key(salt, index);
+    const bool ok = cluster_.engine_.retry(chunk_salt, [&]() {
+      const SendResult r = cluster_.net().send(src, dst, take);
+      *serialized_us += r.latency_us;
+      return r.delivered ? storage::Attempt::Success : storage::Attempt::Retry;
+    });
     if (!ok) return false;
     off += take;
     ++index;
@@ -174,16 +159,15 @@ bool RepairCoordinator::transfer(std::size_t src, std::size_t dst,
 }
 
 bool RepairCoordinator::execute_attempt(
-    const std::string& name, const Cluster::StripeLocation& loc,
-    std::size_t s, const RepairPlan& plan,
+    Stripe& loc, const RepairPlan& plan,
     std::vector<std::vector<std::uint8_t>>& recovered, RepairReport& report,
     std::size_t* failed_node) {
   *failed_node = kNoNode;
   const std::size_t e = plan.erased.size();
-  const std::size_t unit = cluster_.unit_size_;
+  const std::size_t unit = cluster_.unit_size();
   const gf::Matrix& recovery = plan.decode->recovery;
   const std::uint64_t root_in_before =
-      cluster_.net_.ingress_bytes(plan.root_node);
+      cluster_.net().ingress_bytes(plan.root_node);
 
   // One e-unit aggregate buffer per helper domain, XOR-accumulated.
   std::vector<std::vector<std::uint8_t>> agg(
@@ -194,9 +178,8 @@ bool RepairCoordinator::execute_attempt(
   std::vector<std::uint8_t> partial(e * unit);
   for (const auto& helper : plan.helpers) {
     // Local read at the helper (disk faults + CRC, retried).
-    if (cluster_.read_unit_local(name, loc, s, helper.unit,
-                                 unit_buf.data()) !=
-        Cluster::UnitRead::Ok) {
+    if (cluster_.engine_.read_unit(loc, helper.unit, unit_buf.data()) !=
+        storage::UnitRead::Ok) {
       *failed_node = helper.node;
       return false;
     }
@@ -221,9 +204,10 @@ bool RepairCoordinator::execute_attempt(
       // are idempotent: the aggregator folds each helper's partial in
       // exactly once, however many copies arrive.
       std::uint64_t ser = 0;
-      if (!transfer(helper.node, plan.aggregators[d], e * unit,
-                    storage::FaultInjector::key(name, s, helper.unit),
-                    &ser)) {
+      if (!transfer(
+              helper.node, plan.aggregators[d], e * unit,
+              storage::FaultInjector::key(loc.name, loc.index, helper.unit),
+              &ser)) {
         *failed_node = helper.node;
         return false;
       }
@@ -240,7 +224,8 @@ bool RepairCoordinator::execute_attempt(
   for (std::size_t d = 0; d < plan.domains.size(); ++d) {
     std::uint64_t ser = 0;
     if (!transfer(plan.aggregators[d], plan.root_node, e * unit,
-                  storage::FaultInjector::key(name, s, 500 + d), &ser)) {
+                  storage::FaultInjector::key(loc.name, loc.index, 500 + d),
+                  &ser)) {
       *failed_node = plan.aggregators[d];
       return false;
     }
@@ -257,7 +242,7 @@ bool RepairCoordinator::execute_attempt(
           ? 0
           : *std::max_element(agg_ingress_us.begin(), agg_ingress_us.end());
   std::uint64_t makespan = std::max(stage1, root_ingress_us) +
-                           2 * cluster_.net_.config().base_latency_us;
+                           2 * cluster_.net().config().base_latency_us;
 
   // GF-linearity delivered the decode: total == recovery * survivors,
   // byte-identical to decoding at the root. Verify against the metadata
@@ -272,18 +257,16 @@ bool RepairCoordinator::execute_attempt(
   }
   report.makespan_us += makespan;
   report.root_ingress_bytes +=
-      cluster_.net_.ingress_bytes(plan.root_node) - root_in_before;
+      cluster_.net().ingress_bytes(plan.root_node) - root_in_before;
   return true;
 }
 
 bool RepairCoordinator::execute_naive(
-    const std::string& name, const Cluster::StripeLocation& loc,
-    std::size_t s, const StripeDamage& damage, std::size_t root_node,
-    std::vector<std::vector<std::uint8_t>>& recovered,
-    RepairReport& report) {
-  const std::size_t k = cluster_.params_.k;
-  const std::size_t unit = cluster_.unit_size_;
-  const std::uint64_t root_in_before = cluster_.net_.ingress_bytes(root_node);
+    Stripe& loc, const StripeDamage& damage, std::size_t root_node,
+    std::vector<std::vector<std::uint8_t>>& recovered, RepairReport& report) {
+  const std::size_t k = cluster_.params().k;
+  const std::size_t unit = cluster_.unit_size();
+  const std::uint64_t root_in_before = cluster_.net().ingress_bytes(root_node);
 
   // Haul whole survivor units to the root until k are in hand. The
   // root's ingress link serializes every transfer — the star-topology
@@ -294,12 +277,13 @@ bool RepairCoordinator::execute_naive(
   for (const std::size_t uid : damage.survivors) {
     if (fetched_ids.size() == k) break;
     std::vector<std::uint8_t> buf(unit);
-    if (cluster_.read_unit_local(name, loc, s, uid, buf.data()) !=
-        Cluster::UnitRead::Ok)
+    if (cluster_.engine_.read_unit(loc, uid, buf.data()) !=
+        storage::UnitRead::Ok)
       continue;
     std::uint64_t ser = 0;
     if (!transfer(loc.nodes[uid], root_node, unit,
-                  storage::FaultInjector::key(name, s, 2000 + uid), &ser))
+                  storage::FaultInjector::key(loc.name, loc.index, 2000 + uid),
+                  &ser))
       continue;
     root_ingress_us += ser;
     ++report.hops;
@@ -308,17 +292,15 @@ bool RepairCoordinator::execute_naive(
   }
   if (fetched_ids.size() < k) return false;
 
-  std::vector<std::size_t> erased_sorted = damage.erased;
-  std::sort(erased_sorted.begin(), erased_sorted.end());
+  // Decode only the erased units, from exactly the fetched survivors.
   const auto plan = ec::make_decode_plan_with_survivors(
-      cluster_.codec_.code().generator(), erased_sorted, fetched_ids);
+      cluster_.codec().code().generator(), damage.erased, fetched_ids);
   if (!plan) return false;
 
-  const std::size_t e = erased_sorted.size();
+  const std::size_t e = damage.erased.size();
   std::vector<const std::uint8_t*> in_ptrs;
   for (const std::size_t uid : plan->survivors) {
-    const auto it =
-        std::find(fetched_ids.begin(), fetched_ids.end(), uid);
+    const auto it = std::find(fetched_ids.begin(), fetched_ids.end(), uid);
     in_ptrs.push_back(
         fetched[static_cast<std::size_t>(it - fetched_ids.begin())].data());
   }
@@ -330,32 +312,32 @@ bool RepairCoordinator::execute_naive(
   coder.apply_scattered({&item, 1});
 
   for (std::size_t i = 0; i < e; ++i)
-    if (storage::crc32c(recovered[i]) != loc.unit_crcs[erased_sorted[i]])
+    if (storage::crc32c(recovered[i]) != loc.unit_crcs[damage.erased[i]])
       return false;
   report.makespan_us += root_ingress_us +
-                        2 * cluster_.net_.config().base_latency_us;
+                        2 * cluster_.net().config().base_latency_us;
   report.root_ingress_bytes +=
-      cluster_.net_.ingress_bytes(root_node) - root_in_before;
+      cluster_.net().ingress_bytes(root_node) - root_in_before;
   return true;
 }
 
 RepairReport RepairCoordinator::repair_stripe(const std::string& name,
                                               std::size_t s) {
-  const auto oit = cluster_.objects_.find(name);
-  if (oit == cluster_.objects_.end() || s >= oit->second.stripes.size())
+  Stripe* found = cluster_.engine_.find_stripe(name, s);
+  if (found == nullptr)
     throw std::invalid_argument(
         "RepairCoordinator::repair_stripe: unknown object/stripe");
-  Cluster::StripeLocation& loc = oit->second.stripes[s];
+  Stripe& loc = *found;
 
   RepairReport report;
-  StripeDamage damage = assess_stripe(name, s, loc);
+  StripeDamage damage = assess_stripe(loc);
   if (damage.erased.empty()) {
     report.completed = true;
     return report;
   }
 
-  const NetStats net_before = cluster_.net_.stats();
-  const auto links_before = cluster_.net_.link_bytes_map();
+  const NetStats net_before = cluster_.net().stats();
+  const auto links_before = cluster_.net().link_bytes_map();
 
   // Persists `recovered` (CRC-verified) onto the replacement nodes,
   // shipping each unit root -> replacement when they differ; updates
@@ -363,32 +345,29 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
   // its unit (the outer loop then re-plans — re-assessment drops any
   // units already persisted).
   const auto store_recovered =
-      [&](const std::vector<std::size_t>& erased_sorted,
+      [&](const std::vector<std::size_t>& erased,
           const std::vector<std::size_t>& replacements, std::size_t root,
           std::vector<std::vector<std::uint8_t>>& recovered) {
-        for (std::size_t i = 0; i < erased_sorted.size(); ++i) {
-          const std::size_t uid = erased_sorted[i];
+        for (std::size_t i = 0; i < erased.size(); ++i) {
+          const std::size_t uid = erased[i];
           const std::size_t target = replacements[i];
           if (target != root) {
             std::uint64_t ser = 0;
-            if (!transfer(root, target, cluster_.unit_size_,
+            if (!transfer(root, target, cluster_.unit_size(),
                           storage::FaultInjector::key(name, s, 3000 + uid),
                           &ser))
               return false;
             ++report.hops;
             report.makespan_us += ser;
           }
-          Cluster::StoredUnit su;
-          su.bytes = recovered[i];
-          if (cluster_.injector_ != nullptr &&
-              !cluster_.injector_->on_write(
-                  target, storage::FaultInjector::key(name, s, uid),
-                  su.bytes)) {
-            cluster_.mark_node_failed(target);
+          // Re-place the unit on its replacement, persisted through the
+          // engine (write faults apply; no client hop — it arrived above).
+          const std::size_t prev = loc.nodes[uid];
+          loc.nodes[uid] = target;
+          if (!cluster_.engine_.store_unit(loc, uid, recovered[i].data())) {
+            loc.nodes[uid] = prev;
             return false;
           }
-          cluster_.nodes_[target].units[{name, s, uid}] = std::move(su);
-          loc.nodes[uid] = target;
           ++report.units_repaired;
           ++stats_.units_repaired;
           ++cluster_.stats_.units_repaired;
@@ -396,24 +375,22 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
         return true;
       };
 
-  std::vector<bool> excluded(cluster_.nodes_.size(), false);
+  std::vector<bool> excluded(cluster_.num_nodes(), false);
   std::size_t replans = 0;
   bool completed = false;
   bool any_attempt = false;
 
   while (config_.dag_enabled) {
-    damage = assess_stripe(name, s, loc);
+    damage = assess_stripe(loc);
     if (damage.erased.empty()) {
       // A re-planned pass found earlier partial stores finished the job.
       completed = true;
       break;
     }
     const auto replacements = pick_replacements(loc, damage.erased);
-    if (damage.survivors.size() < cluster_.params_.k ||
+    if (damage.survivors.size() < cluster_.params().k ||
         replacements.empty())
       break;  // not DAG-viable; naive can't help either -> abandon below
-    std::vector<std::size_t> erased_sorted = damage.erased;
-    std::sort(erased_sorted.begin(), erased_sorted.end());
 
     const auto plan =
         build_plan(loc, damage, excluded, replacements[0]);
@@ -423,9 +400,9 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
     any_attempt = true;
     std::size_t failed_node = kNoNode;
     std::vector<std::vector<std::uint8_t>> recovered;
-    if (execute_attempt(name, loc, s, *plan, recovered, report,
+    if (execute_attempt(loc, *plan, recovered, report,
                         &failed_node) &&
-        store_recovered(erased_sorted, replacements, plan->root_node,
+        store_recovered(damage.erased, replacements, plan->root_node,
                         recovered)) {
       ++stats_.attempts_completed;
       completed = true;
@@ -451,21 +428,19 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
   }
 
   if (!completed && config_.allow_naive_fallback) {
-    damage = assess_stripe(name, s, loc);
+    damage = assess_stripe(loc);
     if (damage.erased.empty()) {
       completed = true;
     } else {
       const auto replacements = pick_replacements(loc, damage.erased);
       if (!replacements.empty() &&
-          damage.survivors.size() >= cluster_.params_.k) {
-        std::vector<std::size_t> erased_sorted = damage.erased;
-        std::sort(erased_sorted.begin(), erased_sorted.end());
+          damage.survivors.size() >= cluster_.params().k) {
         ++stats_.attempts_started;
         any_attempt = true;
         std::vector<std::vector<std::uint8_t>> recovered;
-        if (execute_naive(name, loc, s, damage, replacements[0], recovered,
+        if (execute_naive(loc, damage, replacements[0], recovered,
                           report) &&
-            store_recovered(erased_sorted, replacements, replacements[0],
+            store_recovered(damage.erased, replacements, replacements[0],
                             recovered)) {
           ++stats_.attempts_completed;
           ++stats_.naive_fallbacks;
@@ -484,12 +459,12 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
     ++stats_.attempts_abandoned;
   }
 
-  const NetStats net_after = cluster_.net_.stats();
+  const NetStats net_after = cluster_.net().stats();
   report.bytes_on_wire = net_after.bytes_sent - net_before.bytes_sent;
   report.cross_domain_bytes =
       net_after.cross_domain_bytes - net_before.cross_domain_bytes;
   std::uint64_t max_link = 0;
-  for (const auto& [link, bytes] : cluster_.net_.link_bytes_map()) {
+  for (const auto& [link, bytes] : cluster_.net().link_bytes_map()) {
     const auto it = links_before.find(link);
     const std::uint64_t before = it == links_before.end() ? 0 : it->second;
     max_link = std::max(max_link, bytes - before);
@@ -509,23 +484,18 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
 
 std::size_t RepairCoordinator::repair_all() {
   std::size_t units = 0;
-  for (const auto& name : cluster_.object_names()) {
-    const std::size_t stripes = cluster_.object_stripe_count(name);
-    for (std::size_t s = 0; s < stripes; ++s)
-      units += repair_stripe(name, s).units_repaired;
-  }
+  for (const auto& [key, st] : cluster_.engine_.stripes())
+    units += repair_stripe(key.first, key.second).units_repaired;
   return units;
 }
 
 StripeHealth RepairCoordinator::stripe_health(const std::string& name,
                                               std::size_t s) {
   StripeHealth h;
-  const auto oit = cluster_.objects_.find(name);
-  if (oit == cluster_.objects_.end() || s >= oit->second.stripes.size())
-    return h;
+  const Stripe* loc = cluster_.engine_.find_stripe(name, s);
+  if (loc == nullptr) return h;
   h.exists = true;
-  const StripeDamage damage =
-      assess_stripe(name, s, oit->second.stripes[s]);
+  const StripeDamage damage = assess_stripe(*loc);
   h.erased = damage.erased.size();
   h.survivors = damage.survivors.size();
   return h;
@@ -533,32 +503,27 @@ StripeHealth RepairCoordinator::stripe_health(const std::string& name,
 
 std::optional<RepairPlan> RepairCoordinator::plan_stripe(
     const std::string& name, std::size_t s) {
-  const auto oit = cluster_.objects_.find(name);
-  if (oit == cluster_.objects_.end() || s >= oit->second.stripes.size())
-    return std::nullopt;
-  const Cluster::StripeLocation& loc = oit->second.stripes[s];
-  const StripeDamage damage = assess_stripe(name, s, loc);
+  const Stripe* found = cluster_.engine_.find_stripe(name, s);
+  if (found == nullptr) return std::nullopt;
+  const Stripe& loc = *found;
+  const StripeDamage damage = assess_stripe(loc);
   if (damage.erased.empty() ||
-      damage.survivors.size() < cluster_.params_.k)
+      damage.survivors.size() < cluster_.params().k)
     return std::nullopt;
   const auto replacements = pick_replacements(loc, damage.erased);
   if (replacements.empty()) return std::nullopt;
-  const std::vector<bool> excluded(cluster_.nodes_.size(), false);
+  const std::vector<bool> excluded(cluster_.num_nodes(), false);
   return build_plan(loc, damage, excluded, replacements[0]);
 }
 
 RepairCoordinator::StripeDamage RepairCoordinator::assess_stripe(
-    const std::string& name, std::size_t s,
-    const Cluster::StripeLocation& loc) {
+    const Stripe& loc) {
   StripeDamage damage;
   for (std::size_t u = 0; u < loc.nodes.size(); ++u) {
-    const std::size_t node = loc.nodes[u];
-    bool bad = !cluster_.node_usable(node);
-    if (!bad) {
-      const auto it = cluster_.nodes_[node].units.find({name, s, u});
-      bad = it == cluster_.nodes_[node].units.end() ||
-            storage::crc32c(it->second.bytes) != loc.unit_crcs[u];
-    }
+    // Unusable node, absent unit, or stale CRC; re-assessment is not a
+    // new detection, so corruption is not counted here.
+    const bool bad = cluster_.engine_.probe_unit(loc, u, false) !=
+                     storage::UnitRead::Ok;
     (bad ? damage.erased : damage.survivors).push_back(u);
   }
   return damage;

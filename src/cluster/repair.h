@@ -147,41 +147,37 @@ class RepairCoordinator {
                                         std::size_t s);
 
  private:
+  using Stripe = storage::StripeEngine::Stripe;
   struct StripeDamage {
-    std::vector<std::size_t> erased;     ///< missing or corrupt unit ids
+    std::vector<std::size_t> erased;     ///< missing or corrupt, ascending
     std::vector<std::size_t> survivors;  ///< readable-in-principle unit ids
   };
 
   /// Probes stripe metadata for losses (node down, unit absent, CRC
   /// stale) without moving payload bytes.
-  StripeDamage assess_stripe(const std::string& name, std::size_t s,
-                             const Cluster::StripeLocation& loc);
+  StripeDamage assess_stripe(const Stripe& loc);
 
   /// Picks a live node per erased unit to host the rebuilt data
   /// (prefers the lost unit's domain, never a node already holding a
   /// unit of this stripe). Empty return = no capacity.
   std::vector<std::size_t> pick_replacements(
-      const Cluster::StripeLocation& loc,
-      const std::vector<std::size_t>& erased);
+      const Stripe& loc, const std::vector<std::size_t>& erased);
 
-  std::optional<RepairPlan> build_plan(const Cluster::StripeLocation& loc,
+  std::optional<RepairPlan> build_plan(const Stripe& loc,
                                        const StripeDamage& damage,
                                        const std::vector<bool>& excluded,
                                        std::size_t root_node);
 
   /// Runs one DAG attempt. Returns true on success; on false,
   /// `failed_node` names the helper to exclude from the re-plan.
-  bool execute_attempt(const std::string& name,
-                       const Cluster::StripeLocation& loc, std::size_t s,
-                       const RepairPlan& plan,
+  bool execute_attempt(Stripe& loc, const RepairPlan& plan,
                        std::vector<std::vector<std::uint8_t>>& recovered,
                        RepairReport& report, std::size_t* failed_node);
 
   /// The graceful-degradation path: root fetches k survivor units and
   /// decodes locally. Same verification and accounting.
-  bool execute_naive(const std::string& name,
-                     const Cluster::StripeLocation& loc, std::size_t s,
-                     const StripeDamage& damage, std::size_t root_node,
+  bool execute_naive(Stripe& loc, const StripeDamage& damage,
+                     std::size_t root_node,
                      std::vector<std::vector<std::uint8_t>>& recovered,
                      RepairReport& report);
 

@@ -1,160 +1,106 @@
 #include "storage/checkpoint.h"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
-#include "storage/crc32c.h"
+#include "tensor/buffer.h"
 
 namespace tvmec::storage {
 
 CheckpointManager::CheckpointManager(const ec::CodeParams& params,
                                      std::size_t shard_capacity)
-    : params_(params), shard_capacity_(shard_capacity), codec_(params) {
-  ec::packet_bytes(params, shard_capacity);  // validates the capacity
+    : StripeLayout(params, shard_capacity, params.n()) {}
+
+const CheckpointStats& CheckpointManager::stats() const noexcept {
+  stats_.corruptions_detected = engine_.stats().corruptions_detected;
+  return stats_;
 }
 
 std::uint64_t CheckpointManager::checkpoint(
     const std::vector<std::span<const std::uint8_t>>& shards) {
-  if (shards.size() != params_.k)
+  const std::size_t k = params().k;
+  const std::size_t n = params().n();
+  const std::size_t cap = shard_capacity();
+  if (shards.size() != k)
     throw std::invalid_argument("checkpoint: expected one shard per rank");
-  Version v;
-  v.id = next_id_++;
-  v.shard_sizes.resize(params_.k);
-  v.stripe = tensor::AlignedBuffer<std::uint8_t>(params_.n() * shard_capacity_);
-  v.unit_crcs.resize(params_.n());
-  v.lost.assign(params_.n(), false);
-  for (std::size_t i = 0; i < params_.k; ++i) {
-    if (shards[i].size() > shard_capacity_)
+  std::vector<std::size_t> sizes(k);
+  tensor::AlignedBuffer<std::uint8_t> stripe(n * cap);  // zero padding
+  for (std::size_t i = 0; i < k; ++i) {
+    if (shards[i].size() > cap)
       throw std::invalid_argument("checkpoint: shard exceeds capacity");
-    v.shard_sizes[i] = shards[i].size();
+    sizes[i] = shards[i].size();
     if (!shards[i].empty())  // empty spans may carry a null data()
-      std::memcpy(v.stripe.data() + i * shard_capacity_, shards[i].data(),
-                  shards[i].size());
-    // Padding is already zero (AlignedBuffer zero-initializes).
+      std::memcpy(stripe.data() + i * cap, shards[i].data(), shards[i].size());
   }
-  codec_.encode(
-      std::span<const std::uint8_t>(v.stripe.data(),
-                                    params_.k * shard_capacity_),
-      std::span<std::uint8_t>(v.stripe.data() + params_.k * shard_capacity_,
-                              params_.r * shard_capacity_),
-      shard_capacity_);
-  // Persist each unit into "rank memory": checksum the intended bytes,
-  // then let the injector corrupt the stored copy or crash the rank.
-  for (std::size_t u = 0; u < params_.n(); ++u) {
-    std::uint8_t* bytes = v.stripe.data() + u * shard_capacity_;
-    v.unit_crcs[u] = crc32c({bytes, shard_capacity_});
-    if (injector_ &&
-        !injector_->on_write(u, FaultInjector::key("ckpt", v.id, u),
-                             {bytes, shard_capacity_}))
-      v.lost[u] = true;  // the rank died mid-checkpoint; its unit is gone
+  engine_.encode(stripe.data());
+
+  // A fresh checkpoint is a fresh failure domain: the previous version
+  // goes, and every rank whose crash has been repaired takes units again.
+  engine_.remove_stripe("ckpt", latest_id_);
+  const FaultInjector* injector = fault_injector();
+  std::vector<std::size_t> ranks(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    ranks[u] = u;
+    if (!(injector && injector->crashed(u))) engine_.revive_node(u);
   }
-  latest_ = std::move(v);
+  // Persist each unit into "rank memory"; a rank that dies mid-checkpoint
+  // loses its unit, and recovery rebuilds it.
+  StripeEngine::Stripe& st = engine_.add_stripe("ckpt", ++latest_id_, ranks);
+  for (std::size_t u = 0; u < n; ++u)
+    engine_.store_unit(st, u, stripe.data() + u * cap);
+  shard_sizes_ = std::move(sizes);
   ++stats_.checkpoints_taken;
-  return latest_->id;
+  return latest_id_;
 }
 
 std::optional<std::uint64_t> CheckpointManager::latest_version()
     const noexcept {
-  if (!latest_) return std::nullopt;
-  return latest_->id;
+  if (latest_id_ == 0) return std::nullopt;
+  return latest_id_;
 }
 
 void CheckpointManager::lose_rank(std::size_t rank) {
-  if (!latest_) throw std::logic_error("lose_rank: no checkpoint taken");
-  if (rank >= params_.k)
+  StripeEngine::Stripe* st = latest();
+  if (st == nullptr) throw std::logic_error("lose_rank: no checkpoint taken");
+  if (rank >= params().k)
     throw std::invalid_argument("lose_rank: rank out of range");
-  if (latest_->lost[rank]) return;
-  latest_->lost[rank] = true;
-  // The rank's memory is gone: scrub its shard to make the loss real.
-  std::memset(unit(rank), 0xDD, shard_capacity_);
+  engine_.drop_unit(*st, rank);  // the rank's memory is gone
 }
 
 bool CheckpointManager::rank_lost(std::size_t rank) const {
-  if (!latest_) return false;
-  if (rank >= params_.k)
+  if (latest_id_ == 0) return false;
+  if (rank >= params().k)
     throw std::invalid_argument("rank_lost: rank out of range");
-  return latest_->lost[rank];
+  return !engine_.holds_unit(engine_.stripes().at({"ckpt", latest_id_}), rank);
 }
 
 std::size_t CheckpointManager::ranks_lost() const noexcept {
-  if (!latest_) return 0;
-  return static_cast<std::size_t>(std::count(
-      latest_->lost.begin(), latest_->lost.begin() + params_.k, true));
+  std::size_t lost = 0;
+  for (std::size_t rank = 0; latest_id_ != 0 && rank < params().k; ++rank)
+    lost += rank_lost(rank) ? 1 : 0;
+  return lost;
 }
 
 std::vector<std::uint8_t> CheckpointManager::recover_shard(std::size_t rank) {
-  if (!latest_) throw std::logic_error("recover_shard: no checkpoint taken");
-  if (rank >= params_.k)
+  StripeEngine::Stripe* st = latest();
+  if (st == nullptr)
+    throw std::logic_error("recover_shard: no checkpoint taken");
+  if (rank >= params().k)
     throw std::invalid_argument("recover_shard: rank out of range");
 
-  // Survey every unit: lost ones are erased; present ones are read
-  // through the injector with retries and CRC-verified.
-  std::vector<std::size_t> erased;
-  std::vector<std::uint8_t> copy(shard_capacity_);
-  for (std::size_t u = 0; u < params_.n(); ++u) {
-    if (latest_->lost[u]) {
-      erased.push_back(u);
-      continue;
-    }
-    if (!injector_) {
-      if (crc32c({unit(u), shard_capacity_}) != latest_->unit_crcs[u]) {
-        ++stats_.corruptions_detected;
-        erased.push_back(u);
-      }
-      continue;
-    }
-    const std::uint64_t key = FaultInjector::key("ckpt", latest_->id, u);
-    bool corrupt = false;
-    const bool ok =
-        with_retries(retry_, retry_stats_, key, [&]() -> Attempt {
-          if (injector_->crashed(u)) return Attempt::Abort;
-          std::memcpy(copy.data(), unit(u), shard_capacity_);
-          switch (injector_->on_read(u, key, copy)) {
-            case ReadFault::Crash:
-              return Attempt::Abort;
-            case ReadFault::Transient:
-              corrupt = false;
-              return Attempt::Retry;
-            case ReadFault::None:
-              break;
-          }
-          corrupt = crc32c(copy) != latest_->unit_crcs[u];
-          return corrupt ? Attempt::Retry : Attempt::Success;
-        });
-    if (!ok) {
-      if (corrupt) ++stats_.corruptions_detected;
-      latest_->lost[u] = true;  // crash / exhausted: treat the unit as gone
-      erased.push_back(u);
-    }
-  }
-
-  if (erased.size() > params_.r)
-    throw std::runtime_error(
-        "CheckpointManager::recover_shard: " + std::to_string(erased.size()) +
-        " shard units lost or corrupt, but the code only tolerates r=" +
-        std::to_string(params_.r));
-
-  if (!erased.empty()) {
-    codec_.decode(latest_->stripe.span(), erased, shard_capacity_);
-    // CRC-verify the reconstruction before trusting or keeping it.
-    for (const std::size_t u : erased) {
-      if (crc32c({unit(u), shard_capacity_}) != latest_->unit_crcs[u]) {
-        ++stats_.corruptions_detected;
-        throw std::runtime_error(
-            "CheckpointManager: reconstructed shard failed checksum "
-            "verification");
-      }
-    }
-    // The stripe is whole again: clear the loss records (self-healing).
-    std::fill(latest_->lost.begin(), latest_->lost.end(), false);
-    stats_.units_repaired += erased.size();
-  }
-
+  // Every unit is read through faults, retries and its CRC; lost or
+  // corrupt ones are rebuilt (CRC-verified) and healed in place.
+  const std::size_t cap = shard_capacity();
+  tensor::AlignedBuffer<std::uint8_t> stripe(params().n() * cap);
+  const std::vector<std::size_t> rebuilt = engine_.read_stripe(
+      *st, stripe.span(), "CheckpointManager::recover_shard");
+  for (const std::size_t u : rebuilt)
+    engine_.store_unit(*st, u, stripe.data() + u * cap);
+  stats_.units_repaired += rebuilt.size();
   ++stats_.shards_recovered;
-  const std::uint8_t* shard = unit(rank);
-  return std::vector<std::uint8_t>(shard, shard + latest_->shard_sizes[rank]);
+  const std::uint8_t* shard = stripe.data() + rank * cap;
+  return std::vector<std::uint8_t>(shard, shard + shard_sizes_[rank]);
 }
 
 }  // namespace tvmec::storage

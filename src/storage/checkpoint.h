@@ -7,9 +7,7 @@
 
 #include "core/tvmec.h"
 #include "ec/code_params.h"
-#include "storage/fault_injector.h"
-#include "storage/retry.h"
-#include "tensor/buffer.h"
+#include "storage/stripe_engine.h"
 
 /// In-memory erasure-coded checkpointing for accelerator-native training —
 /// the motivating application of the paper's §3: "High-performance
@@ -22,11 +20,10 @@
 /// failures without touching stable storage. Checkpoints are versioned;
 /// recovery reconstructs exactly the bytes a lost rank contributed.
 ///
-/// Fault model: an attached FaultInjector is consulted when each of the
-/// n shard units is written at checkpoint time and read at recovery time
-/// (rank `u` plays the role of node `u`). Every unit carries a CRC-32C
-/// of its intended contents, so silently corrupted shards are detected
-/// at recovery, rebuilt through parity, and the rebuild itself verified.
+/// Each checkpoint version is one stripe of the shared StripeEngine with
+/// rank `u` as node `u`, so shard units pass through the same fault
+/// injection, CRC-32C, retries and verified rebuild as every other
+/// storage layout.
 namespace tvmec::storage {
 
 struct CheckpointStats {
@@ -36,28 +33,16 @@ struct CheckpointStats {
   std::uint64_t units_repaired = 0;        ///< shard units rebuilt in place
 };
 
-class CheckpointManager {
+class CheckpointManager : public StripeLayout {
  public:
   /// `params.k` = number of training ranks. `shard_capacity` is the
   /// fixed per-rank shard buffer size (a multiple of 8*w; shorter shards
   /// are zero-padded). Throws std::invalid_argument on bad sizes.
   CheckpointManager(const ec::CodeParams& params, std::size_t shard_capacity);
 
-  const ec::CodeParams& params() const noexcept { return params_; }
-  std::size_t shard_capacity() const noexcept { return shard_capacity_; }
-  const CheckpointStats& stats() const noexcept { return stats_; }
-
-  /// Non-owning fault injector consulted on shard unit writes/reads.
-  void attach_fault_injector(FaultInjector* injector) noexcept {
-    injector_ = injector;
-  }
-  FaultInjector* fault_injector() const noexcept { return injector_; }
-
-  void set_retry_policy(const RetryPolicy& policy) noexcept {
-    retry_ = policy;
-  }
-  const RetryPolicy& retry_policy() const noexcept { return retry_; }
-  const RetryStats& retry_stats() const noexcept { return retry_stats_; }
+  const ec::CodeParams& params() const noexcept { return engine_.params(); }
+  std::size_t shard_capacity() const noexcept { return engine_.unit_size(); }
+  const CheckpointStats& stats() const noexcept;
 
   /// Takes a checkpoint from all k ranks (shards[i] is rank i's state,
   /// size <= shard_capacity). Returns the new checkpoint version. Any
@@ -85,27 +70,15 @@ class CheckpointManager {
   std::vector<std::uint8_t> recover_shard(std::size_t rank);
 
  private:
-  struct Version {
-    std::uint64_t id = 0;
-    std::vector<std::size_t> shard_sizes;        // original per-rank sizes
-    tensor::AlignedBuffer<std::uint8_t> stripe;  // k data + r parity units
-    std::vector<std::uint32_t> unit_crcs;        // intended CRC per unit (n)
-    std::vector<bool> lost;                      // per unit (n), not just k
-  };
-
-  std::uint8_t* unit(std::size_t u) noexcept {
-    return latest_->stripe.data() + u * shard_capacity_;
+  /// The latest checkpoint's stripe (unit u lives on rank u), or null
+  /// before the first checkpoint.
+  StripeEngine::Stripe* latest() {
+    return engine_.find_stripe("ckpt", latest_id_);
   }
 
-  ec::CodeParams params_;
-  std::size_t shard_capacity_;
-  core::Codec codec_;
-  std::optional<Version> latest_;
-  std::uint64_t next_id_ = 1;
-  CheckpointStats stats_;
-  FaultInjector* injector_ = nullptr;
-  RetryPolicy retry_;
-  RetryStats retry_stats_;
+  std::uint64_t latest_id_ = 0;           ///< 0 until the first checkpoint
+  std::vector<std::size_t> shard_sizes_;  ///< latest per-rank shard sizes
+  mutable CheckpointStats stats_;
 };
 
 }  // namespace tvmec::storage

@@ -11,10 +11,11 @@
 /// Deterministic, seeded fault injection for the simulated storage
 /// layers. The paper motivates erasure coding with failure-driven
 /// workloads (RAID, object stores, in-memory checkpointing, §3); this is
-/// the failure side of that story. The node/device layers of
-/// StripeStore, RaidArray, and CheckpointManager consult an attached
-/// FaultInjector on *every* simulated read and write, so chaos tests can
-/// subject the whole stack to the classic taxonomy:
+/// the failure side of that story. The StripeEngine under every storage
+/// layout (StripeStore, RaidArray, CheckpointManager, the cluster)
+/// consults an attached FaultInjector on *every* simulated unit read and
+/// write, so chaos tests can subject the whole stack to the classic
+/// taxonomy:
 ///
 ///  - silent bit flips     (persisted payload corrupted, checksum not)
 ///  - torn writes          (only a prefix persists; the tail is stale

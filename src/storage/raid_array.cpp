@@ -1,224 +1,132 @@
 #include "storage/raid_array.h"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
-#include "storage/crc32c.h"
 #include "tensor/buffer.h"
 
 namespace tvmec::storage {
 
 RaidArray::RaidArray(const ec::CodeParams& params, std::size_t block_size,
                      std::size_t stripes)
-    : params_(params),
-      block_size_(block_size),
-      stripes_(stripes),
-      codec_(params) {
-  ec::packet_bytes(params, block_size);  // validates block_size
+    : StripeLayout(params, block_size, params.n()), stripes_(stripes) {
   if (stripes == 0) throw std::invalid_argument("RaidArray: zero stripes");
-  devices_.resize(params_.n());
-  for (Device& d : devices_) {
-    d.blocks.assign(stripes * block_size, 0);
-    d.valid.assign(stripes, true);  // zero blocks of zero data are valid
-  }
+  // Zero blocks of zero data are a valid, consistent stripe.
   const std::vector<std::uint8_t> zero(block_size, 0);
-  crcs_.assign(stripes * params_.n(), crc32c(zero));
-}
-
-void RaidArray::mark_device_failed(std::size_t device) {
-  Device& d = devices_[device];
-  if (d.failed) return;
-  d.failed = true;
-  std::fill(d.blocks.begin(), d.blocks.end(), std::uint8_t{0});
-  std::fill(d.valid.begin(), d.valid.end(), false);
-}
-
-bool RaidArray::write_unit(std::size_t stripe, std::size_t u,
-                           const std::uint8_t* src) {
-  // The metadata table always records the intended contents, even when
-  // the device is down — that is what lets rebuild() verify its work.
-  unit_crc(stripe, u) = crc32c({src, block_size_});
-  const std::size_t dev = device_of(stripe, u);
-  if (injector_ && injector_->crashed(dev)) mark_device_failed(dev);
-  Device& d = devices_[dev];
-  if (d.failed) return false;
-  std::memcpy(slot(dev, stripe), src, block_size_);
-  if (injector_ &&
-      !injector_->on_write(dev, FaultInjector::key(stripe, u),
-                           {slot(dev, stripe), block_size_})) {
-    mark_device_failed(dev);
-    return false;
+  for (std::size_t s = 0; s < stripes; ++s) {
+    std::vector<std::size_t> devices(params.n());
+    for (std::size_t u = 0; u < params.n(); ++u)
+      devices[u] = (u + s) % params.n();
+    StripeEngine::Stripe& st = engine_.add_stripe("", s, std::move(devices));
+    for (std::size_t u = 0; u < params.n(); ++u)
+      engine_.store_unit(st, u, zero.data());
   }
-  d.valid[stripe] = true;
-  return true;
 }
 
-RaidArray::UnitRead RaidArray::read_unit(std::size_t stripe, std::size_t u,
-                                         std::uint8_t* dest) {
-  const std::size_t dev = device_of(stripe, u);
-  const std::uint64_t key = FaultInjector::key(stripe, u);
-  UnitRead verdict = UnitRead::Missing;
-  with_retries(retry_, retry_stats_, key, [&]() -> Attempt {
-    if (injector_ && injector_->crashed(dev)) {
-      mark_device_failed(dev);
-      verdict = UnitRead::Missing;
-      return Attempt::Abort;
-    }
-    Device& d = devices_[dev];
-    if (d.failed || !d.valid[stripe]) {
-      verdict = UnitRead::Missing;
-      return Attempt::Abort;
-    }
-    std::memcpy(dest, slot(dev, stripe), block_size_);
-    if (injector_) {
-      switch (injector_->on_read(dev, key, {dest, block_size_})) {
-        case ReadFault::Crash:
-          mark_device_failed(dev);
-          verdict = UnitRead::Missing;
-          return Attempt::Abort;
-        case ReadFault::Transient:
-          verdict = UnitRead::Missing;
-          return Attempt::Retry;
-        case ReadFault::None:
-          break;
-      }
-    }
-    if (crc32c({dest, block_size_}) != unit_crc(stripe, u)) {
-      verdict = UnitRead::Corrupt;  // re-read in case it was a read flip
-      return Attempt::Retry;
-    }
-    verdict = UnitRead::Ok;
-    return Attempt::Success;
-  });
-  if (verdict == UnitRead::Corrupt) ++stats_.corruptions_detected;
-  return verdict;
-}
-
-bool RaidArray::read_stripe(std::size_t stripe, std::span<std::uint8_t> out) {
-  std::vector<std::size_t> erased;
-  for (std::size_t u = 0; u < params_.n(); ++u) {
-    if (read_unit(stripe, u, out.data() + u * block_size_) != UnitRead::Ok)
-      erased.push_back(u);
-  }
-  if (erased.empty()) return false;
-  codec_.decode(out, erased, block_size_);  // throws when > r missing
-  // CRC-verify the reconstruction against the metadata table before any
-  // caller sees (or persists) it.
-  for (const std::size_t u : erased) {
-    if (crc32c({out.data() + u * block_size_, block_size_}) !=
-        unit_crc(stripe, u)) {
-      ++stats_.corruptions_detected;
-      throw std::runtime_error(
-          "RaidArray: reconstructed unit failed checksum verification");
-    }
-  }
-  return true;
-}
-
-void RaidArray::write_stripe(std::size_t stripe,
-                             std::span<const std::uint8_t> in) {
-  for (std::size_t u = 0; u < params_.n(); ++u)
-    write_unit(stripe, u, in.data() + u * block_size_);
+const RaidStats& RaidArray::stats() const noexcept {
+  stats_.corruptions_detected = engine_.stats().corruptions_detected;
+  stats_.units_repaired = engine_.stats().units_repaired;
+  return stats_;
 }
 
 void RaidArray::write_block(std::size_t lba,
                             std::span<const std::uint8_t> data) {
   if (lba >= capacity_blocks())
     throw std::invalid_argument("write_block: lba out of range");
-  if (data.size() != block_size_)
+  const std::size_t block = block_size();
+  if (data.size() != block)
     throw std::invalid_argument("write_block: data must be one block");
   ++stats_.block_writes;
 
-  const std::size_t stripe = lba / params_.k;
-  const std::size_t unit = lba % params_.k;
+  const std::size_t k = engine_.params().k;
+  const std::size_t r = engine_.params().r;
+  const std::size_t unit = lba % k;
+  StripeEngine::Stripe& st = stripe_at(lba / k);
 
   // Fast path: the old data block and all r parity blocks read back
   // clean -> RAID small write via parity patching. Any missing or
   // corrupt operand falls back to the full-stripe path, which repairs
   // through the decode machinery instead of patching garbage forward.
-  tensor::AlignedBuffer<std::uint8_t> parity(params_.r * block_size_);
-  tensor::AlignedBuffer<std::uint8_t> old_block(block_size_);
-  bool fast = read_unit(stripe, unit, old_block.data()) == UnitRead::Ok;
-  for (std::size_t p = 0; fast && p < params_.r; ++p) {
-    fast = read_unit(stripe, params_.k + p,
-                     parity.data() + p * block_size_) == UnitRead::Ok;
-  }
+  tensor::AlignedBuffer<std::uint8_t> parity(r * block);
+  tensor::AlignedBuffer<std::uint8_t> old_block(block);
+  bool fast = engine_.read_unit(st, unit, old_block.data()) == UnitRead::Ok;
+  for (std::size_t p = 0; fast && p < r; ++p)
+    fast = engine_.read_unit(st, k + p, parity.data() + p * block) ==
+           UnitRead::Ok;
 
   if (fast) {
     ++stats_.small_write_patches;
-    tensor::AlignedBuffer<std::uint8_t> new_block(block_size_);
-    std::memcpy(new_block.data(), data.data(), block_size_);
-    codec_.patch_parity(unit, old_block.span(), new_block.span(),
-                        parity.span(), block_size_);
-    write_unit(stripe, unit, data.data());
-    for (std::size_t p = 0; p < params_.r; ++p)
-      write_unit(stripe, params_.k + p, parity.data() + p * block_size_);
+    tensor::AlignedBuffer<std::uint8_t> new_block(block);
+    std::memcpy(new_block.data(), data.data(), block);
+    engine_.codec().patch_parity(unit, old_block.span(), new_block.span(),
+                                 parity.span(), block);
+    engine_.store_unit(st, unit, data.data());
+    for (std::size_t p = 0; p < r; ++p)
+      engine_.store_unit(st, k + p, parity.data() + p * block);
     return;
   }
 
   // Degraded path: reconstruct the stripe, replace the block, re-encode.
   ++stats_.full_stripe_writes;
-  tensor::AlignedBuffer<std::uint8_t> full(params_.n() * block_size_);
-  read_stripe(stripe, full.span());
-  std::memcpy(full.data() + unit * block_size_, data.data(), block_size_);
-  codec_.encode(
-      std::span<const std::uint8_t>(full.data(), params_.k * block_size_),
-      std::span<std::uint8_t>(full.data() + params_.k * block_size_,
-                              params_.r * block_size_),
-      block_size_);
-  write_stripe(stripe, full.span());
+  tensor::AlignedBuffer<std::uint8_t> full(num_devices() * block);
+  engine_.read_stripe(st, full.span(), "RaidArray::write_block");
+  std::memcpy(full.data() + unit * block, data.data(), block);
+  engine_.encode(full.data());
+  for (std::size_t u = 0; u < num_devices(); ++u)
+    engine_.store_unit(st, u, full.data() + u * block);
 }
 
 std::vector<std::uint8_t> RaidArray::read_block(std::size_t lba) {
   if (lba >= capacity_blocks())
     throw std::invalid_argument("read_block: lba out of range");
-  const std::size_t stripe = lba / params_.k;
-  const std::size_t unit = lba % params_.k;
-  std::vector<std::uint8_t> block(block_size_);
-  if (read_unit(stripe, unit, block.data()) == UnitRead::Ok) return block;
+  const std::size_t k = engine_.params().k;
+  const std::size_t block = block_size();
+  StripeEngine::Stripe& st = stripe_at(lba / k);
+  std::vector<std::uint8_t> out(block);
+  if (engine_.read_unit(st, lba % k, out.data()) == UnitRead::Ok) return out;
   ++stats_.degraded_reads;
-  tensor::AlignedBuffer<std::uint8_t> full(params_.n() * block_size_);
-  read_stripe(stripe, full.span());
-  std::memcpy(block.data(), full.data() + unit * block_size_, block_size_);
-  return block;
+  tensor::AlignedBuffer<std::uint8_t> full(num_devices() * block);
+  engine_.read_stripe(st, full.span(), "RaidArray::read_block");
+  std::memcpy(out.data(), full.data() + (lba % k) * block, block);
+  return out;
 }
 
 void RaidArray::fail_device(std::size_t device) {
-  if (device >= devices_.size())
+  if (device >= num_devices())
     throw std::invalid_argument("fail_device: device out of range");
-  mark_device_failed(device);
+  engine_.fail_node(device);
 }
 
 void RaidArray::replace_device(std::size_t device) {
-  if (device >= devices_.size())
+  if (device >= num_devices())
     throw std::invalid_argument("replace_device: device out of range");
-  if (injector_) injector_->repair_node(device);
-  devices_[device].failed = false;  // blank: valid[] stays false
+  engine_.revive_node(device);  // blank: its units stay absent
 }
 
 bool RaidArray::device_failed(std::size_t device) const {
-  if (device >= devices_.size())
+  if (device >= num_devices())
     throw std::invalid_argument("device_failed: device out of range");
-  return devices_[device].failed;
+  return engine_.node_failed(device);
 }
 
 std::size_t RaidArray::rebuild() {
   std::size_t rebuilt = 0;
-  tensor::AlignedBuffer<std::uint8_t> full(params_.n() * block_size_);
+  const std::size_t block = block_size();
+  tensor::AlignedBuffer<std::uint8_t> full(num_devices() * block);
+  // A unit is owed to its device when the device is online but blank.
+  const auto blank = [&](const StripeEngine::Stripe& st, std::size_t u) {
+    return !engine_.node_failed(st.nodes[u]) && !engine_.holds_unit(st, u);
+  };
   for (std::size_t s = 0; s < stripes_; ++s) {
+    StripeEngine::Stripe& st = stripe_at(s);
     bool missing = false;
-    for (std::size_t u = 0; u < params_.n() && !missing; ++u) {
-      const Device& d = devices_[device_of(s, u)];
-      if (!d.failed && !d.valid[s]) missing = true;
-    }
+    for (std::size_t u = 0; u < num_devices() && !missing; ++u)
+      missing = blank(st, u);
     if (!missing) continue;
-    read_stripe(s, full.span());
-    for (std::size_t u = 0; u < params_.n(); ++u) {
-      Device& d = devices_[device_of(s, u)];
-      if (d.failed || d.valid[s]) continue;
-      if (write_unit(s, u, full.data() + u * block_size_)) ++rebuilt;
-    }
+    engine_.read_stripe(st, full.span(), "RaidArray::rebuild");
+    for (std::size_t u = 0; u < num_devices(); ++u)
+      if (blank(st, u) && engine_.store_unit(st, u, full.data() + u * block))
+        ++rebuilt;
   }
   stats_.blocks_rebuilt += rebuilt;
   return rebuilt;
@@ -226,20 +134,19 @@ std::size_t RaidArray::rebuild() {
 
 std::size_t RaidArray::verify() {
   std::size_t bad = 0;
-  tensor::AlignedBuffer<std::uint8_t> full(params_.n() * block_size_);
-  tensor::AlignedBuffer<std::uint8_t> expect(params_.r * block_size_);
+  const std::size_t block = block_size();
+  const std::size_t data = engine_.params().k * block;
+  tensor::AlignedBuffer<std::uint8_t> full(num_devices() * block);
+  tensor::AlignedBuffer<std::uint8_t> expect(engine_.params().r * block);
   for (std::size_t s = 0; s < stripes_; ++s) {
     try {
-      read_stripe(s, full.span());
+      engine_.read_stripe(stripe_at(s), full.span(), "RaidArray::verify");
     } catch (const std::runtime_error&) {
       ++bad;
       continue;
     }
-    codec_.encode(
-        std::span<const std::uint8_t>(full.data(), params_.k * block_size_),
-        expect.span(), block_size_);
-    if (std::memcmp(expect.data(), full.data() + params_.k * block_size_,
-                    params_.r * block_size_) != 0)
+    engine_.codec().encode({full.data(), data}, expect.span(), block);
+    if (std::memcmp(expect.data(), full.data() + data, expect.size()) != 0)
       ++bad;
   }
   return bad;
@@ -248,78 +155,12 @@ std::size_t RaidArray::verify() {
 StripeScrubResult RaidArray::scrub_stripe(std::size_t stripe) {
   if (stripe >= stripes_)
     throw std::invalid_argument("scrub_stripe: stripe out of range");
-  const std::size_t n = params_.n();
-  StripeScrubResult res;
-  tensor::AlignedBuffer<std::uint8_t> full(n * block_size_);
-  std::vector<std::size_t> erased;
-  for (std::size_t u = 0; u < n; ++u) {
-    switch (read_unit(stripe, u, full.data() + u * block_size_)) {
-      case UnitRead::Ok:
-        ++res.units_verified;
-        break;
-      case UnitRead::Corrupt:
-        ++res.crc_errors;
-        erased.push_back(u);
-        break;
-      case UnitRead::Missing:
-        erased.push_back(u);
-        break;
-    }
-  }
-
-  if (!erased.empty()) {
-    if (erased.size() > params_.r) {
-      res.unrecoverable = true;
-      return res;
-    }
-    codec_.decode(full.span(), erased, block_size_);
-    for (const std::size_t u : erased) {
-      if (crc32c({full.data() + u * block_size_, block_size_}) !=
-          unit_crc(stripe, u)) {
-        ++stats_.corruptions_detected;
-        res.unrecoverable = true;  // survivors are lying; don't persist
-        return res;
-      }
-    }
-  }
-
-  // Parity cross-check on the assembled stripe.
-  tensor::AlignedBuffer<std::uint8_t> expect(params_.r * block_size_);
-  codec_.encode(
-      std::span<const std::uint8_t>(full.data(), params_.k * block_size_),
-      expect.span(), block_size_);
-  std::vector<std::size_t> heal(erased);
-  for (std::size_t p = 0; p < params_.r; ++p) {
-    const std::size_t u = params_.k + p;
-    if (std::find(erased.begin(), erased.end(), u) != erased.end()) continue;
-    if (std::memcmp(full.data() + u * block_size_,
-                    expect.data() + p * block_size_, block_size_) != 0) {
-      ++res.parity_errors;
-      std::memcpy(full.data() + u * block_size_,
-                  expect.data() + p * block_size_, block_size_);
-      heal.push_back(u);
-    }
-  }
-
-  for (const std::size_t u : heal) {
-    // Only rewrite slots that live on an online device; blank replaced
-    // devices are rebuild()'s job, dead ones have nowhere to write.
-    const Device& d = devices_[device_of(stripe, u)];
-    if (d.failed) continue;
-    if (write_unit(stripe, u, full.data() + u * block_size_))
-      ++res.units_repaired;
-  }
-  stats_.units_repaired += res.units_repaired;
-  return res;
+  return engine_.scrub_stripe(stripe_at(stripe));
 }
 
 bool RaidArray::corrupt_unit(std::size_t stripe, std::size_t unit) {
-  if (stripe >= stripes_ || unit >= params_.n()) return false;
-  const std::size_t dev = device_of(stripe, unit);
-  Device& d = devices_[dev];
-  if (d.failed || !d.valid[stripe]) return false;
-  slot(dev, stripe)[block_size_ / 2] ^= 0x40;  // flip one bit
-  return true;
+  if (stripe >= stripes_ || unit >= num_devices()) return false;
+  return engine_.corrupt_unit(stripe_at(stripe), unit);
 }
 
 }  // namespace tvmec::storage

@@ -6,9 +6,7 @@
 
 #include "core/tvmec.h"
 #include "ec/code_params.h"
-#include "storage/fault_injector.h"
-#include "storage/retry.h"
-#include "storage/scrub_types.h"
+#include "storage/stripe_engine.h"
 
 /// A RAID-6-style erasure-coded block array over simulated devices — the
 /// classic block-layer integration of erasure coding (Patterson/Gibson/
@@ -22,12 +20,10 @@
 /// stripe; reads reconstruct through parity when devices are failed; a
 /// replaced device is rebuilt stripe by stripe.
 ///
-/// Fault model: every device block read/write consults an attached
-/// FaultInjector. An array-level CRC-32C table (RAID metadata, separate
-/// from device contents) records the intended checksum of every unit, so
-/// silent device corruption is caught on read, retried (read-side flips
-/// and transient errors are transient), and finally reconstructed
-/// through parity — with the reconstruction itself CRC-verified.
+/// Devices, the per-unit CRC-32C table, fault injection, retries,
+/// verified reconstruction and scrub are the shared StripeEngine; this
+/// class is the block layout over it: the LBA map and the parity-patch
+/// small write.
 namespace tvmec::storage {
 
 struct RaidStats {
@@ -40,40 +36,23 @@ struct RaidStats {
   std::uint64_t units_repaired = 0;        ///< units rewritten by scrub
 };
 
-class RaidArray {
+class RaidArray : public StripeLayout {
  public:
   /// block_size must be a positive multiple of 8*w. Throws
   /// std::invalid_argument on bad geometry.
   RaidArray(const ec::CodeParams& params, std::size_t block_size,
             std::size_t stripes);
 
-  std::size_t num_devices() const noexcept { return params_.n(); }
-  std::size_t block_size() const noexcept { return block_size_; }
+  std::size_t num_devices() const noexcept { return engine_.num_nodes(); }
+  std::size_t block_size() const noexcept { return engine_.unit_size(); }
   /// Logical capacity in blocks (k per stripe).
   std::size_t capacity_blocks() const noexcept {
-    return params_.k * stripes_;
+    return engine_.params().k * stripes_;
   }
   std::size_t num_stripes() const noexcept { return stripes_; }
-  const RaidStats& stats() const noexcept { return stats_; }
+  const RaidStats& stats() const noexcept;
 
-  /// Non-owning fault injector consulted on every device read/write.
-  void attach_fault_injector(FaultInjector* injector) noexcept {
-    injector_ = injector;
-  }
-  FaultInjector* fault_injector() const noexcept { return injector_; }
-
-  void set_retry_policy(const RetryPolicy& policy) noexcept {
-    retry_ = policy;
-  }
-  const RetryPolicy& retry_policy() const noexcept { return retry_; }
-  const RetryStats& retry_stats() const noexcept { return retry_stats_; }
-
-  /// Shares a decode-plan cache (see StripeStore::set_plan_cache):
-  /// degraded reads and rebuilds skip inversion for already-planned loss
-  /// patterns. Null detaches.
-  void set_plan_cache(std::shared_ptr<core::PlanCache> cache) {
-    codec_.set_plan_cache(std::move(cache));
-  }
+  using StripeLayout::set_plan_cache;
 
   /// Writes one logical block. When every device is online this is a
   /// RAID small write (1 data read + 1 data write + r parity
@@ -102,10 +81,8 @@ class RaidArray {
   /// stripes (0 on a healthy array).
   std::size_t verify();
 
-  /// Verifies and repairs one stripe (CRC per unit, parity consistency,
-  /// GEMM reconstruction of bad units, verified rewrite). Driven
-  /// incrementally by the Scrubber. Throws std::invalid_argument on a
-  /// bad stripe index.
+  /// Verifies and repairs one stripe (see StripeEngine::scrub_stripe).
+  /// Throws std::invalid_argument on a bad stripe index.
   StripeScrubResult scrub_stripe(std::size_t stripe);
 
   /// Test/chaos hook: flips one byte of the stored copy of unit `unit`
@@ -114,50 +91,15 @@ class RaidArray {
   bool corrupt_unit(std::size_t stripe, std::size_t unit);
 
  private:
-  struct Device {
-    bool failed = false;
-    std::vector<std::uint8_t> blocks;    // stripes * block_size bytes
-    std::vector<bool> valid;             // per stripe-slot
-  };
+  friend class Scrubber;
 
-  enum class UnitRead { Ok, Missing, Corrupt };
-
-  /// Device holding unit `u` of stripe `s` (rotated layout).
-  std::size_t device_of(std::size_t stripe, std::size_t unit) const noexcept {
-    return (unit + stripe) % params_.n();
-  }
-  std::uint8_t* slot(std::size_t device, std::size_t stripe) noexcept {
-    return devices_[device].blocks.data() + stripe * block_size_;
-  }
-  std::uint32_t& unit_crc(std::size_t stripe, std::size_t unit) noexcept {
-    return crcs_[stripe * params_.n() + unit];
+  /// Unit u of stripe s lives on device (u + s) % n (rotated layout).
+  StripeEngine::Stripe& stripe_at(std::size_t s) {
+    return *engine_.find_stripe("", s);
   }
 
-  /// Reads unit u of `stripe` into dest through faults/retries/CRC.
-  UnitRead read_unit(std::size_t stripe, std::size_t u, std::uint8_t* dest);
-  /// Persists `src` as unit u of `stripe` (records the intended CRC in
-  /// the metadata table even when the device is down, so a later rebuild
-  /// can be verified). Returns false when nothing was persisted.
-  bool write_unit(std::size_t stripe, std::size_t u, const std::uint8_t* src);
-  void mark_device_failed(std::size_t device);
-
-  /// Reads the full stripe into `out` (n units), reconstructing missing/
-  /// corrupt units (CRC-verified); returns true if reconstruction ran.
-  bool read_stripe(std::size_t stripe, std::span<std::uint8_t> out);
-  /// Writes stripe units from `in` to every online device.
-  void write_stripe(std::size_t stripe, std::span<const std::uint8_t> in);
-
-  ec::CodeParams params_;
-  std::size_t block_size_;
   std::size_t stripes_;
-  core::Codec codec_;
-  std::vector<Device> devices_;
-  /// Array-level metadata: intended CRC-32C of every (stripe, unit).
-  std::vector<std::uint32_t> crcs_;
-  RaidStats stats_;
-  FaultInjector* injector_ = nullptr;
-  RetryPolicy retry_;
-  RetryStats retry_stats_;
+  mutable RaidStats stats_;
 };
 
 }  // namespace tvmec::storage

@@ -5,12 +5,12 @@
 #include <functional>
 
 /// Retry with exponential backoff and deterministic jitter — the standard
-/// client-side answer to transient storage errors. Wraps the unit reads
-/// of StripeStore::get/repair, RaidArray::read_block, and
-/// CheckpointManager::recover_shard: a read that fails transiently is
-/// re-attempted up to `max_attempts` times with exponentially growing,
-/// jittered, capped delays; only after the budget is exhausted does the
-/// caller fall back to degraded (parity) reconstruction.
+/// client-side answer to transient storage errors. Wraps every unit read
+/// of the StripeEngine (so every storage layout) and the cluster's
+/// message sends: a read that fails transiently is re-attempted up to
+/// `max_attempts` times with exponentially growing, jittered, capped
+/// delays; only after the budget is exhausted does the caller fall back
+/// to degraded (parity) reconstruction.
 ///
 /// Jitter is derived from a splitmix64 hash of (salt, attempt), not a
 /// shared RNG, so retry timing is reproducible per unit and independent

@@ -2,9 +2,9 @@
 
 #include <cstddef>
 
-/// Shared result types for stripe-granular scrubbing, used by the
-/// per-stripe scrub hooks of StripeStore / RaidArray and aggregated by
-/// the Scrubber driver.
+/// Shared result types for stripe-granular scrubbing: produced by
+/// StripeEngine::scrub_stripe (behind StripeStore and RaidArray) and
+/// aggregated by the Scrubber.
 namespace tvmec::storage {
 
 /// Outcome of verifying (and repairing) one stripe.

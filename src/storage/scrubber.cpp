@@ -3,35 +3,16 @@
 namespace tvmec::storage {
 
 bool Scrubber::scrub_next(ScrubStats& increment) {
-  if (array_) {
-    if (cursor_stripe_ >= array_->num_stripes()) return false;
-    const StripeScrubResult r = array_->scrub_stripe(cursor_stripe_++);
-    increment.add(r, array_->block_size());
-    current_.add(r, array_->block_size());
-    return true;
-  }
-
-  // StripeStore: resume at (object, stripe), tolerating objects having
-  // been added or removed since the last step.
-  std::optional<std::string> obj;
-  if (!cursor_started_) {
-    cursor_started_ = true;
-    cursor_stripe_ = 0;
-    obj = store_->object_at_or_after("");
-  } else {
-    obj = store_->object_at_or_after(cursor_object_);
-    if (!obj || *obj != cursor_object_)
-      cursor_stripe_ = 0;  // our object vanished; start its successor
-  }
-  while (obj && cursor_stripe_ >= store_->object_stripe_count(*obj)) {
-    obj = store_->object_after(*obj);
-    cursor_stripe_ = 0;
-  }
-  if (!obj) return false;
-  cursor_object_ = *obj;
-  const StripeScrubResult r = store_->scrub_stripe(*obj, cursor_stripe_++);
-  increment.add(r, store_->unit_size());
-  current_.add(r, store_->unit_size());
+  // Resume at the first stripe at or after the cursor key: a vanished
+  // object's successor starts at its stripe 0, a shrunk one is skipped.
+  StripeEngine::Stripe* st =
+      engine_->stripe_at_or_after(cursor_name_, cursor_stripe_);
+  if (st == nullptr) return false;
+  cursor_name_ = st->name;
+  cursor_stripe_ = st->index + 1;
+  const StripeScrubResult r = engine_->scrub_stripe(*st);
+  increment.add(r, engine_->unit_size());
+  current_.add(r, engine_->unit_size());
   return true;
 }
 
@@ -42,9 +23,8 @@ void Scrubber::finish_pass() {
 }
 
 void Scrubber::reset_cursor() {
-  cursor_object_.clear();
+  cursor_name_.clear();
   cursor_stripe_ = 0;
-  cursor_started_ = false;
   current_ = ScrubStats{};
 }
 

@@ -9,9 +9,9 @@
 
 /// Background scrubbing: the maintenance loop real deployments run
 /// continuously so latent corruption is found (and repaired through the
-/// erasure code) before a second fault turns it into data loss. Wraps
-/// the per-stripe scrub hooks of StripeStore and RaidArray with a
-/// resumable cursor, so a pass can proceed in small increments
+/// erasure code) before a second fault turns it into data loss. Walks
+/// the stripes of a StripeStore or RaidArray through their StripeEngine
+/// with a resumable cursor, so a pass can proceed in small increments
 /// interleaved with foreground traffic — call step() with a stripe
 /// budget from wherever your event loop has slack, and the cursor picks
 /// up where it left off, tolerating objects added or removed in between.
@@ -42,8 +42,8 @@ struct ScrubStats {
 class Scrubber {
  public:
   /// Non-owning: the target must outlive the scrubber.
-  explicit Scrubber(StripeStore& store) : store_(&store) {}
-  explicit Scrubber(RaidArray& array) : array_(&array) {}
+  explicit Scrubber(StripeStore& store) : engine_(&store.engine_) {}
+  explicit Scrubber(RaidArray& array) : engine_(&array.engine_) {}
 
   /// Scrubs up to `max_stripes` stripes from the cursor. Returns the
   /// stats of *this increment*. When the increment reaches the end of
@@ -72,13 +72,11 @@ class Scrubber {
   bool scrub_next(ScrubStats& increment);
   void finish_pass();
 
-  StripeStore* store_ = nullptr;
-  RaidArray* array_ = nullptr;
-  // Cursor: for a StripeStore, the object (by name) and stripe index the
-  // next step resumes at; for a RaidArray, just the stripe index.
-  std::string cursor_object_;
+  StripeEngine* engine_;
+  // Cursor: the (name, stripe) key the next step resumes at; stripes
+  // iterate in key order, so objects go by name.
+  std::string cursor_name_;
   std::size_t cursor_stripe_ = 0;
-  bool cursor_started_ = false;
   ScrubStats current_;
   ScrubStats last_;
   std::size_t passes_ = 0;

