@@ -144,8 +144,8 @@ class Cluster : private storage::StripeEngine::Transport,
   }
 
   /// Shares a decode-plan cache across degraded reads, the repair
-  /// coordinator (which keys plans with a locality dimension), and any
-  /// other consumers. Null detaches.
+  /// coordinator (whose plans are keyed by their survivor preference),
+  /// and any other consumers. Null detaches.
   void set_plan_cache(std::shared_ptr<core::PlanCache> cache) {
     engine_.codec().set_plan_cache(std::move(cache));
   }

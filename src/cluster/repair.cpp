@@ -12,6 +12,8 @@ namespace tvmec::cluster {
 namespace {
 
 constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
+/// Pipelining granularity of every repair transfer on the wire.
+constexpr std::size_t kChunkBytes = 64 * 1024;
 
 void xor_into(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
@@ -76,45 +78,18 @@ std::optional<RepairPlan> RepairCoordinator::build_plan(
     pref.push_back(uid);
   }
   if (pref.size() < cluster_.params().k) return std::nullopt;
-  if (config_.prefer_domain_local) {
-    std::stable_sort(pref.begin(), pref.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const std::size_t da =
-                           cluster_.domain_of(loc.nodes[a]);
-                       const std::size_t db =
-                           cluster_.domain_of(loc.nodes[b]);
-                       if ((da == root_domain) != (db == root_domain))
-                         return da == root_domain;
-                       return da < db;
-                     });
-  }
+  std::stable_sort(pref.begin(), pref.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     const std::size_t da = cluster_.domain_of(loc.nodes[a]);
+                     const std::size_t db = cluster_.domain_of(loc.nodes[b]);
+                     if ((da == root_domain) != (db == root_domain))
+                       return da == root_domain;
+                     return da < db;
+                   });
 
-  // The locality dimension of the cache key: same loss pattern, different
-  // survivor preference (placement/exclusions) => different plan entry.
-  std::uint64_t locality = root_domain + 1;
-  for (const std::size_t uid : pref)
-    locality = storage::FaultInjector::key(locality, uid + 1);
-
-  const gf::Matrix& generator = cluster_.codec().code().generator();
-  std::shared_ptr<const ec::DecodePlan> plan;
-  if (cluster_.plan_cache() != nullptr) {
-    core::PlanKey key{cluster_.params().k,
-                      cluster_.params().r,
-                      cluster_.params().w,
-                      cluster_.codec().code().family(),
-                      false,
-                      damage.erased,
-                      locality};
-    plan = cluster_.plan_cache()->get_or_build(key, [&]() {
-      return ec::make_decode_plan_with_survivors(generator, damage.erased,
-                                                 pref);
-    });
-  } else {
-    auto built =
-        ec::make_decode_plan_with_survivors(generator, damage.erased, pref);
-    if (built)
-      plan = std::make_shared<const ec::DecodePlan>(std::move(*built));
-  }
+  // Keyed by the preference list itself: same loss pattern, different
+  // placement or exclusions => a different plan entry.
+  const auto plan = cluster_.codec().plan(damage.erased, pref);
   if (plan == nullptr) return std::nullopt;
 
   RepairPlan out;
@@ -140,11 +115,10 @@ std::optional<RepairPlan> RepairCoordinator::build_plan(
 bool RepairCoordinator::transfer(std::size_t src, std::size_t dst,
                                  std::size_t bytes, std::uint64_t salt,
                                  std::uint64_t* serialized_us) {
-  const std::size_t chunk = std::max<std::size_t>(1, config_.chunk_bytes);
   std::size_t off = 0;
   std::size_t index = 0;
   while (off < bytes) {
-    const std::size_t take = std::min(chunk, bytes - off);
+    const std::size_t take = std::min(kChunkBytes, bytes - off);
     const std::uint64_t chunk_salt = storage::FaultInjector::key(salt, index);
     const bool ok = cluster_.engine_.retry(chunk_salt, [&]() {
       const SendResult r = cluster_.net().send(src, dst, take);
@@ -293,8 +267,7 @@ bool RepairCoordinator::execute_naive(
   if (fetched_ids.size() < k) return false;
 
   // Decode only the erased units, from exactly the fetched survivors.
-  const auto plan = ec::make_decode_plan_with_survivors(
-      cluster_.codec().code().generator(), damage.erased, fetched_ids);
+  const auto plan = cluster_.codec().plan(damage.erased, fetched_ids);
   if (!plan) return false;
 
   const std::size_t e = damage.erased.size();
@@ -418,16 +391,12 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
       continue;
     }
     // Out of re-plan budget: this attempt is superseded by the naive
-    // plan (still a re-plan for the identity) — or abandoned outright.
-    if (config_.allow_naive_fallback) {
-      ++stats_.attempts_replanned;
-    } else {
-      ++stats_.attempts_abandoned;
-    }
+    // plan (still a re-plan for the identity).
+    ++stats_.attempts_replanned;
     break;
   }
 
-  if (!completed && config_.allow_naive_fallback) {
+  if (!completed) {
     damage = assess_stripe(loc);
     if (damage.erased.empty()) {
       completed = true;
@@ -474,8 +443,6 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
   stats_.cross_domain_bytes += report.cross_domain_bytes;
   stats_.hops += report.hops;
   stats_.makespan_us_total += report.makespan_us;
-  if (config_.deadline_us > 0 && report.makespan_us > config_.deadline_us)
-    ++stats_.deadline_overruns;
 
   report.completed = completed;
   if (completed && report.units_repaired > 0) ++stats_.stripes_repaired;

@@ -11,8 +11,8 @@
 /// ECDAG discipline: instead of hauling k full survivor units to one
 /// repairer (the naive star), each helper applies its slice of the
 /// recovery matrix locally (an e x 1 GF coefficient column, lowered
-/// through the same bitmatrix->GEMM path as every other coding op and
-/// cached in the shared PlanCache under a locality-keyed entry), ships
+/// through the same bitmatrix->GEMM path as every other coding op; the
+/// plan comes from Codec::plan, keyed by the survivor preference), ships
 /// the e-unit partial one hop to its failure domain's aggregator, which
 /// XORs its domain's partials into one e-unit message before crossing
 /// domains to the repair root. GF-linearity makes the result
@@ -39,11 +39,7 @@
 namespace tvmec::cluster {
 
 struct RepairConfig {
-  std::size_t chunk_bytes = 64 * 1024;  ///< pipelining granularity on the wire
-  std::size_t max_replans = 2;          ///< DAG re-plans before naive fallback
-  std::uint64_t deadline_us = 0;        ///< modeled makespan budget (0 = none)
-  bool prefer_domain_local = true;      ///< order survivors root-domain-first
-  bool allow_naive_fallback = true;
+  std::size_t max_replans = 2;  ///< DAG re-plans before naive fallback
   /// False skips the DAG entirely and repairs via the naive k-unit star —
   /// the baseline arm of the E22 traffic-shape comparison.
   bool dag_enabled = true;
@@ -60,7 +56,6 @@ struct RepairStats {
   std::uint64_t bytes_on_wire = 0;       ///< payload bytes sent during repair
   std::uint64_t cross_domain_bytes = 0;
   std::uint64_t hops = 0;                ///< DAG edges traversed
-  std::uint64_t deadline_overruns = 0;
   std::uint64_t makespan_us_total = 0;   ///< summed modeled repair makespan
 
   bool identity_holds() const noexcept {
@@ -103,7 +98,7 @@ struct RepairPlan {
     std::size_t column = 0;  ///< its column in the recovery matrix
   };
   std::vector<std::size_t> erased;   ///< unit ids being rebuilt
-  /// The locality-keyed decode plan; recovery column i belongs to
+  /// The preference-keyed decode plan; recovery column i belongs to
   /// helpers[i] (survivors ascending).
   std::shared_ptr<const ec::DecodePlan> decode;
   std::vector<Helper> helpers;       ///< the chosen k survivors

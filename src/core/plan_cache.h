@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "ec/decoder.h"
-#include "ec/reed_solomon.h"
+#include "gf/gf.h"
 #include "tensor/variant.h"
 
 /// A process-wide decode-plan cache.
@@ -24,35 +24,36 @@
 /// Codec::decode callers keep asking for the same handful of plans. This
 /// cache generalizes the per-codec-slot `naive_decode_cache` the serving
 /// layer grew: one shared, thread-safe, LRU-bounded map from
-/// (code identity, sorted loss pattern) to an immutable plan that every
-/// consumer can hold by shared_ptr. Unrecoverable patterns are cached
-/// negatively (a null plan), so repeated hopeless repairs don't re-run the
-/// rank computation either.
+/// (code identity, sorted loss pattern, survivor preference) to an
+/// immutable plan that every consumer can hold by shared_ptr; Codec::plan
+/// is the one place that builds keys and plans. Unrecoverable patterns
+/// are cached negatively (a null plan), so repeated hopeless repairs
+/// don't re-run the rank computation either.
 namespace tvmec::core {
 
-/// Cache key: the code's identity plus the canonical (sorted, deduplicated)
-/// loss pattern. `optimized` distinguishes sparse-searched plans from
-/// greedy ones — the two produce different recovery matrices for the same
-/// pattern and must not alias. `locality` distinguishes plans built
-/// against a constrained survivor set (the cluster's repair DAGs prefer
-/// failure-domain-local helpers, so the same loss pattern can yield
-/// different recovery matrices per placement); 0 means "any survivors",
-/// the single-process default. `variant` is the kernel-variant knob of
-/// the consumer the plan was requested for: the recovery matrix itself
-/// is pure field math and identical across variants, but variant-pinned
+/// Cache key: the exact identity of the code plus everything the plan
+/// depends on. `erased` is the canonical (sorted, deduplicated) loss
+/// pattern. `survivors` is the caller's preferred-survivor list, in
+/// order (the cluster's repair DAGs prefer failure-domain-local helpers,
+/// so one loss pattern yields different plans per placement); empty
+/// means "any survivors", the single-process default. `optimized`
+/// separates sparse-searched plans from greedy ones. `variant` is the
+/// kernel-variant knob of the consumer: the recovery matrix is pure
+/// field math and identical across variants, but variant-pinned
 /// consumers (differential tests and tuning sweeps that rebuild coders
-/// per SIMD tier) must not alias each other's entries, so the key keeps
-/// them apart. Auto — the default, and what every variant-agnostic call
-/// site passes — shares one entry.
+/// per SIMD tier) must not alias each other's entries; Auto, the
+/// default, shares one entry. The code itself is identified by its
+/// field width and every generator coefficient, so two different codes
+/// of the same shape (RS(12,4) and LRC(12,2,2)) never share a plan; it
+/// is compared last, after the cheap fields.
 struct PlanKey {
-  std::size_t k = 0;
-  std::size_t r = 0;
-  unsigned w = 0;
-  ec::RsFamily family = ec::RsFamily::CauchyGood;
-  bool optimized = false;
   std::vector<std::size_t> erased;
-  std::uint64_t locality = 0;
+  std::vector<std::size_t> survivors;
+  bool optimized = false;
   tensor::KernelVariant variant = tensor::KernelVariant::Auto;
+  unsigned w = 0;
+  std::size_t k = 0;
+  std::vector<gf::elem_t> generator;  ///< n x k, row-major
 
   friend auto operator<=>(const PlanKey&, const PlanKey&) = default;
 };

@@ -29,9 +29,15 @@ void xor_bytes(std::uint8_t* dst, const std::uint8_t* a,
 }  // namespace
 
 Codec::Codec(const ec::CodeParams& params, ec::RsFamily family)
-    : params_(params),
-      rs_(params, family),
-      encode_coder_(rs_.parity_matrix()) {}
+    : Codec(std::make_unique<const ec::ReedSolomon>(params, family)) {}
+
+Codec::Codec(const ec::LrcParams& params)
+    : Codec(std::make_unique<const ec::Lrc>(params)) {}
+
+Codec::Codec(std::unique_ptr<const ec::LinearCode> code)
+    : code_(std::move(code)),
+      params_{code_->k(), code_->n() - code_->k(), code_->field().w()},
+      encode_coder_(code_->parity_matrix()) {}
 
 void Codec::encode(std::span<const std::uint8_t> data,
                    std::span<std::uint8_t> parity,
@@ -69,6 +75,40 @@ void Codec::encode_ptrs(const std::vector<const std::uint8_t*>& data,
   }
 }
 
+std::shared_ptr<const ec::DecodePlan> Codec::plan(
+    std::span<const std::size_t> erased_ids,
+    std::span<const std::size_t> preferred_survivors) const {
+  std::vector<std::size_t> erased = normalize_erasures(erased_ids);
+  if (erased.empty()) throw std::invalid_argument("plan: nothing erased");
+  const gf::Matrix& generator = code_->generator();
+  const auto build = [&]() -> std::optional<ec::DecodePlan> {
+    if (!preferred_survivors.empty())
+      return ec::make_decode_plan_with_survivors(generator, erased,
+                                                 preferred_survivors);
+    if (erased.size() == 1)
+      if (auto local = code_->local_repair_plan(erased[0])) return local;
+    return optimize_plans_ ? ec::make_decode_plan_optimized(generator, erased)
+                           : ec::make_decode_plan(generator, erased);
+  };
+  if (!plan_cache_) {
+    auto built = build();
+    if (!built) return nullptr;
+    return std::make_shared<const ec::DecodePlan>(std::move(*built));
+  }
+  // The shared cache holds the inversion result; on a hit the costly
+  // planning is skipped entirely.
+  const auto coefficients = generator.elements();
+  return plan_cache_->get_or_build(
+      PlanKey{erased,
+              {preferred_survivors.begin(), preferred_survivors.end()},
+              optimize_plans_,
+              encode_coder_.schedule().variant,
+              params_.w,
+              params_.k,
+              {coefficients.begin(), coefficients.end()}},
+      build);
+}
+
 const Codec::DecodeEntry& Codec::decode_entry(
     const std::vector<std::size_t>& erased) {
   const tensor::KernelVariant variant = encode_coder_.schedule().variant;
@@ -76,32 +116,17 @@ const Codec::DecodeEntry& Codec::decode_entry(
   const auto it = decode_cache_.find(cache_key);
   if (it != decode_cache_.end()) return it->second;
 
-  const auto build = [&]() -> std::optional<ec::DecodePlan> {
-    return optimize_plans_
-               ? ec::make_decode_plan_optimized(rs_.generator(), erased)
-               : ec::make_decode_plan(rs_.generator(), erased);
-  };
-
-  std::shared_ptr<const ec::DecodePlan> plan;
-  if (plan_cache_) {
-    // The shared cache holds the inversion result; on a hit the costly
-    // planning is skipped entirely and only this codec's GemmCoder (which
-    // carries its schedule) is built locally.
-    plan = plan_cache_->get_or_build(
-        PlanKey{params_.k, params_.r, params_.w, rs_.family(),
-                optimize_plans_, erased, /*locality=*/0, variant},
-        build);
-  } else if (auto built = build()) {
-    plan = std::make_shared<const ec::DecodePlan>(std::move(*built));
-  }
-  if (!plan)
+  // Local miss: only this codec's GemmCoder (which carries its schedule)
+  // is built here; the plan comes from the shared path.
+  std::shared_ptr<const ec::DecodePlan> planned = plan(erased);
+  if (!planned)
     throw std::runtime_error("decode: erasure pattern is unrecoverable");
   auto coder =
-      std::make_unique<GemmCoder>(plan->recovery, encode_coder_.schedule());
+      std::make_unique<GemmCoder>(planned->recovery, encode_coder_.schedule());
   coder->set_scattered_staging_threshold(
       encode_coder_.scattered_staging_threshold());
   const auto [pos, inserted] = decode_cache_.emplace(
-      cache_key, DecodeEntry{std::move(plan), std::move(coder)});
+      cache_key, DecodeEntry{std::move(planned), std::move(coder)});
   return pos->second;
 }
 
@@ -218,9 +243,9 @@ void Codec::patch_parity(std::size_t unit_id,
   auto& coder = delta_coders_[unit_id];
   if (!coder) {
     // The parity column of this unit: P_i picks up C[i][unit] * delta.
-    gf::Matrix column(rs_.field(), params_.r, 1);
+    gf::Matrix column(code_->field(), params_.r, 1);
     for (std::size_t i = 0; i < params_.r; ++i)
-      column.set(i, 0, rs_.generator().at(params_.k + i, unit_id));
+      column.set(i, 0, code_->generator().at(params_.k + i, unit_id));
     coder = std::make_unique<GemmCoder>(column, encode_coder_.schedule());
   }
 

@@ -8,11 +8,14 @@
 #include "core/plan_cache.h"
 #include "ec/code_params.h"
 #include "ec/decoder.h"
+#include "ec/linear_code.h"
+#include "ec/lrc.h"
 #include "ec/reed_solomon.h"
 #include "tensor/buffer.h"
 
-/// The public TVM-EC API: a complete systematic Reed-Solomon codec whose
-/// encode and decode both execute as autotuned GEMMs.
+/// The public TVM-EC API: a complete codec for any systematic linear code
+/// (Reed-Solomon or LRC, one constructor each) whose encode and decode
+/// both execute as autotuned GEMMs.
 ///
 /// Layout contract (paper §5): the codec works on *contiguous* unit
 /// buffers — k units back to back for encode, n units back to back for a
@@ -29,13 +32,20 @@ namespace tvmec::core {
 
 class Codec {
  public:
-  /// Builds the generator and the GEMM encoder.
+  /// Builds the generator and the GEMM encoder of a Reed-Solomon code.
   /// Throws std::invalid_argument on invalid parameters.
   explicit Codec(const ec::CodeParams& params,
                  ec::RsFamily family = ec::RsFamily::CauchyGood);
 
+  /// The same for an LRC(k, l, g): params() reports r = l + g parity
+  /// units, local parities first. A single lost data or local-parity
+  /// unit is planned from its group alone (k/l reads, not k).
+  explicit Codec(const ec::LrcParams& params);
+
+  /// k data units, r = n - k parity units, field width w.
   const ec::CodeParams& params() const noexcept { return params_; }
-  const ec::ReedSolomon& code() const noexcept { return rs_; }
+  /// The code's generator view (generator(), parity_matrix(), ...).
+  const ec::LinearCode& code() const noexcept { return *code_; }
   const GemmCoder& encoder() const noexcept { return encode_coder_; }
 
   /// Encodes k contiguous data units into r contiguous parity units.
@@ -75,7 +85,8 @@ class Codec {
   /// Recovers the erased units of a full stripe (n contiguous units) in
   /// place. Erased ids may name data and/or parity units; at most r.
   /// Throws std::invalid_argument on bad ids, std::runtime_error if the
-  /// pattern is unrecoverable (more than r erasures).
+  /// pattern is unrecoverable (more than r erasures, or a pattern a
+  /// non-MDS code cannot decode).
   void decode(std::span<std::uint8_t> stripe,
               std::span<const std::size_t> erased_ids, std::size_t unit_size);
 
@@ -149,6 +160,22 @@ class Codec {
     return encode_coder_.scattered_staging_threshold();
   }
 
+  /// The decode plan for a loss pattern: the one planning path of the
+  /// library, shared by decode, the serving layer's degraded executor and
+  /// cluster repair. `erased_ids` is normalized (sorted, deduplicated)
+  /// and must be nonempty. With `preferred_survivors`, the plan reads
+  /// only from that list, taken greedily in the given order; otherwise an
+  /// LRC single erasure inside a local group plans from that group, and
+  /// everything else takes the first independent survivors (or the
+  /// sparsest subset under set_plan_optimization). Consults the shared
+  /// PlanCache when one is installed. Returns null when the pattern is
+  /// unrecoverable from the allowed survivors. Throws like decode on bad
+  /// ids or more than r erasures. Const and safe to call concurrently
+  /// with other plan() calls.
+  std::shared_ptr<const ec::DecodePlan> plan(
+      std::span<const std::size_t> erased_ids,
+      std::span<const std::size_t> preferred_survivors = {}) const;
+
   /// Number of distinct erasure patterns with cached decode coders.
   std::size_t decode_cache_size() const noexcept {
     return decode_cache_.size();
@@ -203,8 +230,10 @@ class Codec {
   std::vector<std::size_t> normalize_erasures(
       std::span<const std::size_t> erased_ids) const;
 
+  explicit Codec(std::unique_ptr<const ec::LinearCode> code);
+
+  std::unique_ptr<const ec::LinearCode> code_;
   ec::CodeParams params_;
-  ec::ReedSolomon rs_;
   GemmCoder encode_coder_;
   std::map<DecodeCacheKey, DecodeEntry> decode_cache_;
   std::shared_ptr<PlanCache> plan_cache_;

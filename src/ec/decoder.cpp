@@ -1,6 +1,7 @@
 #include "ec/decoder.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "gf/bitmatrix.h"
@@ -62,40 +63,12 @@ class RankTracker {
 
 std::optional<DecodePlan> make_decode_plan(
     const gf::Matrix& generator, std::span<const std::size_t> erased_ids) {
-  const std::size_t n = generator.rows();
-  const std::size_t k = generator.cols();
-  if (erased_ids.empty())
-    throw std::invalid_argument("make_decode_plan: nothing erased");
-
-  std::vector<bool> erased_mask(n, false);
-  for (const std::size_t id : erased_ids) {
-    if (id >= n)
-      throw std::invalid_argument("make_decode_plan: erased id out of range");
-    if (erased_mask[id])
-      throw std::invalid_argument("make_decode_plan: duplicate erased id " +
-                                  std::to_string(id));
-    erased_mask[id] = true;
-  }
-
-  // Greedily pick k linearly independent survivor rows; for MDS codes
-  // this is simply the first k survivors, and for LRC-style codes the
-  // dependence check skips redundant local parities.
-  RankTracker tracker(generator.field(), k);
-  std::vector<std::size_t> chosen;
-  for (std::size_t id = 0; id < n && chosen.size() < k; ++id) {
-    if (erased_mask[id]) continue;
-    if (tracker.try_add(generator.row(id))) chosen.push_back(id);
-  }
-  if (chosen.size() < k) return std::nullopt;
-
-  const gf::Matrix survivor_rows = generator.select_rows(chosen);
-  const auto inv = survivor_rows.inverted();
-  if (!inv) return std::nullopt;  // cannot happen after the rank check
-
-  std::vector<std::size_t> erased_vec(erased_ids.begin(), erased_ids.end());
-  gf::Matrix recovery = generator.select_rows(erased_vec).mul(*inv);
-  return DecodePlan{std::move(chosen), std::move(erased_vec),
-                    std::move(recovery)};
+  // Every unit id in ascending order: for MDS codes this picks the first
+  // k survivors, and for LRC-style codes the rank walk skips redundant
+  // local parities.
+  std::vector<std::size_t> all(generator.rows());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return make_decode_plan_with_survivors(generator, erased_ids, all);
 }
 
 namespace {
@@ -178,9 +151,9 @@ std::optional<DecodePlan> make_decode_plan_with_survivors(
     erased_mask[id] = true;
   }
 
-  // Consume the caller's survivors in preference order; unlike
-  // make_decode_plan we never look outside the given set, so a
-  // domain-local plan stays domain-local or fails loudly.
+  // Consume the caller's survivors in preference order, never looking
+  // outside the given set, so a domain-local plan stays domain-local or
+  // fails loudly.
   RankTracker tracker(generator.field(), k);
   std::vector<std::size_t> chosen;
   std::vector<bool> used(n, false);
@@ -195,13 +168,12 @@ std::optional<DecodePlan> make_decode_plan_with_survivors(
   }
   if (chosen.size() < k) return std::nullopt;
 
-  // The plan's survivor list is kept ascending (like make_decode_plan)
-  // so plans cached under the same key compare equal regardless of the
-  // caller's preference ordering of an identical chosen set.
+  // The plan's survivor list is kept ascending so plans over an
+  // identical chosen set compare equal whatever the preference order.
   std::sort(chosen.begin(), chosen.end());
   const gf::Matrix survivor_rows = generator.select_rows(chosen);
   const auto inv = survivor_rows.inverted();
-  if (!inv) return std::nullopt;
+  if (!inv) return std::nullopt;  // cannot happen after the rank check
   std::vector<std::size_t> erased_vec(erased_ids.begin(), erased_ids.end());
   gf::Matrix recovery = generator.select_rows(erased_vec).mul(*inv);
   return DecodePlan{std::move(chosen), std::move(erased_vec),

@@ -34,6 +34,8 @@ struct DecodePlan {
 /// such as LRCs (a linearly independent survivor subset is searched for).
 /// Returns nullopt when the erasure pattern is unrecoverable. Throws
 /// std::invalid_argument on out-of-range or duplicate erased ids.
+/// Equivalent to make_decode_plan_with_survivors over every unit id in
+/// ascending order.
 std::optional<DecodePlan> make_decode_plan(
     const gf::Matrix& generator, std::span<const std::size_t> erased_ids);
 

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ec/reed_solomon.h"
-
 namespace tvmec::ec {
 
 void LrcParams::validate() const {
@@ -45,28 +43,12 @@ gf::Matrix build_lrc_generator(const LrcParams& p) {
 }  // namespace
 
 Lrc::Lrc(const LrcParams& params)
-    : params_(params), generator_(build_lrc_generator(params)) {}
-
-gf::Matrix Lrc::parity_matrix() const {
-  std::vector<std::size_t> ids(params_.l + params_.g);
-  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = params_.k + i;
-  return generator_.select_rows(ids);
-}
+    : LinearCode(build_lrc_generator(params)), params_(params) {}
 
 std::optional<std::size_t> Lrc::group_of(std::size_t unit) const {
   if (unit < params_.k) return unit / params_.group_size();
   if (unit < params_.k + params_.l) return unit - params_.k;
   return std::nullopt;  // global parity
-}
-
-void Lrc::encode_reference(std::span<const std::uint8_t> data,
-                           std::span<std::uint8_t> parity,
-                           std::size_t unit_size) const {
-  if (data.size() != params_.k * unit_size)
-    throw std::invalid_argument("Lrc::encode_reference: bad data size");
-  if (parity.size() != (params_.l + params_.g) * unit_size)
-    throw std::invalid_argument("Lrc::encode_reference: bad parity size");
-  apply_matrix_reference(parity_matrix(), data, parity, unit_size);
 }
 
 std::optional<DecodePlan> Lrc::local_repair_plan(

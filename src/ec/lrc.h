@@ -7,6 +7,7 @@
 
 #include "ec/code_params.h"
 #include "ec/decoder.h"
+#include "ec/linear_code.h"
 #include "gf/gf_matrix.h"
 
 /// Local Reconstruction Codes (Azure-style; Huang et al. ATC'12), the
@@ -40,32 +41,23 @@ struct LrcParams {
 };
 
 /// Unit layout: [0, k) data, [k, k+l) local parities (group order),
-/// [k+l, k+l+g) global parities.
-class Lrc {
+/// [k+l, k+l+g) global parities. The generator (identity, then local
+/// rows, then global rows) and the reference encoder come from
+/// LinearCode.
+class Lrc : public LinearCode {
  public:
   explicit Lrc(const LrcParams& params);
 
   const LrcParams& params() const noexcept { return params_; }
-  const gf::Field& field() const noexcept { return generator_.field(); }
-
-  /// Full n x k generator: identity, then local rows, then global rows.
-  const gf::Matrix& generator() const noexcept { return generator_; }
-
-  /// (l + g) x k parity block (everything below the identity).
-  gf::Matrix parity_matrix() const;
 
   /// Group index of a data or local-parity unit; nullopt for globals.
   std::optional<std::size_t> group_of(std::size_t unit) const;
 
-  /// Reference encoder over contiguous buffers (k units in, l+g out).
-  void encode_reference(std::span<const std::uint8_t> data,
-                        std::span<std::uint8_t> parity,
-                        std::size_t unit_size) const;
-
   /// Locality-aware repair plan for a single failed data or local-parity
   /// unit: reads only the group_size() surviving members of its group.
   /// Falls back to nullopt for global parities (use decode_plan).
-  std::optional<DecodePlan> local_repair_plan(std::size_t failed_unit) const;
+  std::optional<DecodePlan> local_repair_plan(
+      std::size_t failed_unit) const override;
 
   /// General (possibly multi-failure) decode plan; nullopt when the
   /// pattern is unrecoverable. Any pattern with at most g failures is
@@ -73,12 +65,11 @@ class Lrc {
   /// group via locals.
   std::optional<DecodePlan> decode_plan(
       std::span<const std::size_t> erased_ids) const {
-    return make_decode_plan(generator_, erased_ids);
+    return make_decode_plan(generator(), erased_ids);
   }
 
  private:
   LrcParams params_;
-  gf::Matrix generator_;
 };
 
 }  // namespace tvmec::ec

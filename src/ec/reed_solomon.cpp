@@ -40,23 +40,7 @@ const char* to_string(RsFamily f) noexcept {
 }
 
 ReedSolomon::ReedSolomon(const CodeParams& params, RsFamily family)
-    : params_(params), family_(family), generator_(build_generator(params, family)) {}
-
-gf::Matrix ReedSolomon::parity_matrix() const {
-  std::vector<std::size_t> ids(params_.r);
-  for (std::size_t i = 0; i < params_.r; ++i) ids[i] = params_.k + i;
-  return generator_.select_rows(ids);
-}
-
-void ReedSolomon::encode_reference(std::span<const std::uint8_t> data,
-                                   std::span<std::uint8_t> parity,
-                                   std::size_t unit_size) const {
-  if (data.size() != params_.k * unit_size)
-    throw std::invalid_argument("encode_reference: bad data size");
-  if (parity.size() != params_.r * unit_size)
-    throw std::invalid_argument("encode_reference: bad parity size");
-  apply_matrix_reference(parity_matrix(), data, parity, unit_size);
-}
+    : LinearCode(build_generator(params, family)) {}
 
 void apply_matrix_reference(const gf::Matrix& m,
                             std::span<const std::uint8_t> src_units,

@@ -4,6 +4,7 @@
 #include <span>
 
 #include "ec/code_params.h"
+#include "ec/linear_code.h"
 #include "gf/gf_matrix.h"
 
 /// Reed-Solomon code construction: the code family used throughout the
@@ -24,35 +25,11 @@ const char* to_string(RsFamily f) noexcept;
 /// units k..k+r-1 are parities given by the bottom r x k block of the
 /// generator. The full generator is (k+r) x k with an identity top block;
 /// any k of its rows are invertible (MDS).
-class ReedSolomon {
+class ReedSolomon : public LinearCode {
  public:
   /// Builds the generator. Throws std::invalid_argument on bad params.
   explicit ReedSolomon(const CodeParams& params,
                        RsFamily family = RsFamily::CauchyGood);
-
-  const CodeParams& params() const noexcept { return params_; }
-  RsFamily family() const noexcept { return family_; }
-  const gf::Field& field() const noexcept { return generator_.field(); }
-
-  /// Full (k+r) x k generator (identity on top).
-  const gf::Matrix& generator() const noexcept { return generator_; }
-
-  /// The r x k parity block (rows k..k+r-1 of the generator).
-  gf::Matrix parity_matrix() const;
-
-  /// Reference encoder: element-wise GF arithmetic over contiguous unit
-  /// buffers. `data` holds k units of `unit_size` bytes back to back;
-  /// `parity` receives r units likewise. Slow; every optimized backend is
-  /// validated against this. Throws std::invalid_argument on size
-  /// mismatch (unit_size must be a multiple of 2 for w=16).
-  void encode_reference(std::span<const std::uint8_t> data,
-                        std::span<std::uint8_t> parity,
-                        std::size_t unit_size) const;
-
- private:
-  CodeParams params_;
-  RsFamily family_;
-  gf::Matrix generator_;
 };
 
 /// Applies an arbitrary rows(M) x k coefficient matrix to k source units,

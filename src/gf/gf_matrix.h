@@ -36,6 +36,8 @@ class Matrix {
 
   /// Row r as a contiguous span.
   std::span<const elem_t> row(std::size_t r) const;
+  /// Every entry, row-major.
+  std::span<const elem_t> elements() const noexcept { return data_; }
 
   bool operator==(const Matrix& other) const noexcept;
 

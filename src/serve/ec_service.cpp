@@ -555,16 +555,11 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch,
           }
           auto it = slot.naive_decode_cache.find(erased);
           if (it == slot.naive_decode_cache.end()) {
-            // Plans come from the shared cache (same plans the primary
-            // path uses — the breaker degrades the *executor*, not the
-            // math); only the naive coder stays slot-local.
-            auto plan = plan_cache_->get_or_build(
-                core::PlanKey{p.req.key.k, p.req.key.r, p.req.key.w,
-                              p.req.key.family, false, erased},
-                [&]() {
-                  return ec::make_decode_plan(slot.codec.code().generator(),
-                                              erased);
-                });
+            // Plans come from the codec's plan path and shared cache
+            // (same plans the primary path uses — the breaker degrades
+            // the *executor*, not the math); only the naive coder stays
+            // slot-local.
+            auto plan = slot.codec.plan(erased);
             if (!plan)
               throw std::runtime_error(
                   "decode: erasure pattern is unrecoverable");

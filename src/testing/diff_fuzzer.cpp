@@ -14,7 +14,6 @@
 #include "cluster/membership.h"
 #include "cluster/repair.h"
 #include "core/backends.h"
-#include "core/lrc_codec.h"
 #include "core/tvmec.h"
 #include "ec/decoder.h"
 #include "ec/lrc.h"
@@ -292,8 +291,8 @@ FuzzOutcome run_rs_decode(const FuzzConfig& c) {
   // The Codec front door must tolerate the raw (unsorted / duplicated)
   // loss pattern, and must reject out-of-range or excess patterns with
   // invalid_argument rather than garbage output.
+  core::Codec codec(params, c.family);
   {
-    core::Codec codec(params, c.family);
     Bytes work = stripe_bitpacket;
     for (const std::size_t id : erased)
       if (id < n) std::memset(work.data() + id * unit, 0xEE, unit);
@@ -324,9 +323,9 @@ FuzzOutcome run_rs_decode(const FuzzConfig& c) {
   // Every backend executes the same DecodePlan as an encode over the
   // survivors; recovered units must match the originals byte for byte
   // within the backend's embedding family.
-  const auto plan = ec::make_decode_plan(rs.generator(), erased);
+  const auto plan = codec.plan(erased);
   if (!plan)
-    return fail(c, "make_decode_plan failed on an MDS-decodable pattern");
+    return fail(c, "Codec::plan failed on an MDS-decodable pattern");
   const std::size_t s = plan->survivors.size();
   for (const core::Backend backend : core::backends_for_w(c.w)) {
     const Bytes& stripe = core::is_bitpacket_backend(backend)
@@ -357,7 +356,7 @@ FuzzOutcome run_rs_decode(const FuzzConfig& c) {
 FuzzOutcome run_lrc(const FuzzConfig& c) {
   const ec::LrcParams params{c.k, c.l, c.r, c.w};
   const ec::Lrc lrc(params);
-  core::LrcCodec codec(params);
+  core::Codec codec(params);
   const std::size_t n = params.n();
   const std::size_t unit = c.unit_size;
   if (c.sched != 0)

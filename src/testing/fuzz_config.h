@@ -19,7 +19,7 @@ namespace tvmec::testing {
 enum class Scenario {
   RsEncode,        ///< every backend's encode vs the embedding oracles
   RsDecode,        ///< every backend executing a DecodePlan vs originals
-  LrcRoundTrip,    ///< LrcCodec encode/decode vs the bitpacket reference
+  LrcRoundTrip,    ///< LRC Codec encode/decode vs the bitpacket reference
   StorageRoundTrip,///< StripeStore put / fail_node / get, fault-free
   StorageFaulted,  ///< same under a seeded FaultInjector + scrub
   Serve,           ///< random request mix through EcService (manual pump)

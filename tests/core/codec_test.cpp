@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "tensor/kernel.h"
 
@@ -27,6 +28,16 @@ tensor::AlignedBuffer<std::uint8_t> make_stripe(Codec& codec,
       std::span<std::uint8_t>(stripe.data() + p.k * kUnit, p.r * kUnit),
       kUnit);
   return stripe;
+}
+
+/// An RS and an LRC codec over the same k: tests that must hold for any
+/// linear code run over both constructors of the one Codec type.
+std::vector<std::unique_ptr<Codec>> rs_and_lrc(const ec::CodeParams& rs,
+                                               const ec::LrcParams& lrc) {
+  std::vector<std::unique_ptr<Codec>> codecs;
+  codecs.push_back(std::make_unique<Codec>(rs));
+  codecs.push_back(std::make_unique<Codec>(lrc));
+  return codecs;
 }
 
 TEST(Codec, EncodeMatchesReference) {
@@ -180,43 +191,48 @@ TEST(Codec, TuneClearsDecodeCacheAndStaysCorrect) {
 /// Linearity in action: a delta-update of one data unit must leave the
 /// stripe identical to a full re-encode with the new data.
 TEST(Codec, UpdateUnitMatchesFullReencode) {
-  const ec::CodeParams p{6, 3, 8};
-  Codec codec(p);
-  auto stripe = make_stripe(codec, 11);
+  for (const auto& owned : rs_and_lrc({6, 3, 8}, {6, 2, 1, 8})) {
+    Codec& codec = *owned;
+    const ec::CodeParams& p = codec.params();
+    SCOPED_TRACE("n=" + std::to_string(p.n()));
+    auto stripe = make_stripe(codec, 11);
 
-  for (const std::size_t unit_id : {0u, 3u, 5u}) {
-    const auto new_data = random_bytes(kUnit, 500 + unit_id);
-    codec.update_unit(stripe.span(), unit_id, new_data.span(), kUnit);
+    for (const std::size_t unit_id : {0u, 3u, 5u}) {
+      const auto new_data = random_bytes(kUnit, 500 + unit_id);
+      codec.update_unit(stripe.span(), unit_id, new_data.span(), kUnit);
 
-    // Expected: full re-encode of the updated data half.
-    tensor::AlignedBuffer<std::uint8_t> expect_parity(p.r * kUnit);
-    codec.encode(
-        std::span<const std::uint8_t>(stripe.data(), p.k * kUnit),
-        expect_parity.span(), kUnit);
-    ASSERT_TRUE(std::equal(expect_parity.span().begin(),
-                           expect_parity.span().end(),
-                           stripe.data() + p.k * kUnit))
-        << "unit " << unit_id;
-    // And the data landed.
-    ASSERT_TRUE(std::equal(new_data.span().begin(), new_data.span().end(),
-                           stripe.data() + unit_id * kUnit));
+      // Expected: full re-encode of the updated data half.
+      tensor::AlignedBuffer<std::uint8_t> expect_parity(p.r * kUnit);
+      codec.encode(
+          std::span<const std::uint8_t>(stripe.data(), p.k * kUnit),
+          expect_parity.span(), kUnit);
+      ASSERT_TRUE(std::equal(expect_parity.span().begin(),
+                             expect_parity.span().end(),
+                             stripe.data() + p.k * kUnit))
+          << "unit " << unit_id;
+      // And the data landed.
+      ASSERT_TRUE(std::equal(new_data.span().begin(), new_data.span().end(),
+                             stripe.data() + unit_id * kUnit));
+    }
   }
 }
 
 TEST(Codec, UpdateUnitThenDecodeStillRecovers) {
-  const ec::CodeParams p{4, 2, 8};
-  Codec codec(p);
-  auto stripe = make_stripe(codec, 12);
-  const auto new_data = random_bytes(kUnit, 600);
-  codec.update_unit(stripe.span(), 2, new_data.span(), kUnit);
+  for (const auto& owned : rs_and_lrc({4, 2, 8}, {4, 2, 1, 8})) {
+    Codec& codec = *owned;
+    SCOPED_TRACE("n=" + std::to_string(codec.params().n()));
+    auto stripe = make_stripe(codec, 12);
+    const auto new_data = random_bytes(kUnit, 600);
+    codec.update_unit(stripe.span(), 2, new_data.span(), kUnit);
 
-  const tensor::AlignedBuffer<std::uint8_t> pristine = stripe;
-  const std::vector<std::size_t> erased = {2, 4};
-  std::fill_n(stripe.data() + 2 * kUnit, kUnit, 0);
-  std::fill_n(stripe.data() + 4 * kUnit, kUnit, 0);
-  codec.decode(stripe.span(), erased, kUnit);
-  ASSERT_TRUE(std::equal(pristine.span().begin(), pristine.span().end(),
-                         stripe.span().begin()));
+    const tensor::AlignedBuffer<std::uint8_t> pristine = stripe;
+    const std::vector<std::size_t> erased = {2, 4};
+    std::fill_n(stripe.data() + 2 * kUnit, kUnit, 0);
+    std::fill_n(stripe.data() + 4 * kUnit, kUnit, 0);
+    codec.decode(stripe.span(), erased, kUnit);
+    ASSERT_TRUE(std::equal(pristine.span().begin(), pristine.span().end(),
+                           stripe.span().begin()));
+  }
 }
 
 TEST(Codec, UpdateUnitValidation) {
@@ -464,31 +480,34 @@ TEST(Codec, EncodeScatteredValidation) {
 /// survivors are read and the erased units rebuilt in place.
 /// Threshold 0 again — the routing default is pinned below.
 TEST(Codec, DecodeBatchIsZeroCopyForAlignedStripes) {
-  Codec codec(ec::CodeParams{8, 2, 8});
-  codec.set_scattered_staging_threshold(0);
-  constexpr int kMembers = 5;
-  std::vector<tensor::AlignedBuffer<std::uint8_t>> stripes;
-  std::vector<tensor::AlignedBuffer<std::uint8_t>> originals;
-  for (int i = 0; i < kMembers; ++i) {
-    stripes.push_back(make_stripe(codec, 500 + static_cast<unsigned>(i)));
-    originals.push_back(stripes.back());
-  }
-  const std::vector<std::size_t> erased{2, 9};
-  std::vector<Codec::DecodeBatchItem> items;
-  for (int i = 0; i < kMembers; ++i) {
-    for (const std::size_t id : erased)
-      std::fill_n(stripes[i].data() + id * kUnit, kUnit, 0xEE);
-    items.push_back({stripes[i].span(), erased, kUnit});
-  }
+  for (const auto& owned : rs_and_lrc({8, 2, 8}, {8, 2, 2, 8})) {
+    Codec& codec = *owned;
+    SCOPED_TRACE("n=" + std::to_string(codec.params().n()));
+    codec.set_scattered_staging_threshold(0);
+    constexpr int kMembers = 5;
+    std::vector<tensor::AlignedBuffer<std::uint8_t>> stripes;
+    std::vector<tensor::AlignedBuffer<std::uint8_t>> originals;
+    for (int i = 0; i < kMembers; ++i) {
+      stripes.push_back(make_stripe(codec, 500 + static_cast<unsigned>(i)));
+      originals.push_back(stripes.back());
+    }
+    const std::vector<std::size_t> erased{2, 9};
+    std::vector<Codec::DecodeBatchItem> items;
+    for (int i = 0; i < kMembers; ++i) {
+      for (const std::size_t id : erased)
+        std::fill_n(stripes[i].data() + id * kUnit, kUnit, 0xEE);
+      items.push_back({stripes[i].span(), erased, kUnit});
+    }
 
-  const std::uint64_t before = tensor::kernel_stage_stats().stage_copies;
-  codec.decode_batch(items);
-  EXPECT_EQ(tensor::kernel_stage_stats().stage_copies, before);
-  for (int i = 0; i < kMembers; ++i)
-    EXPECT_TRUE(std::equal(originals[i].span().begin(),
-                           originals[i].span().end(),
-                           stripes[i].span().begin()))
-        << "member " << i;
+    const std::uint64_t before = tensor::kernel_stage_stats().stage_copies;
+    codec.decode_batch(items);
+    EXPECT_EQ(tensor::kernel_stage_stats().stage_copies, before);
+    for (int i = 0; i < kMembers; ++i)
+      EXPECT_TRUE(std::equal(originals[i].span().begin(),
+                             originals[i].span().end(),
+                             stripes[i].span().begin()))
+          << "member " << i;
+  }
 }
 
 }  // namespace

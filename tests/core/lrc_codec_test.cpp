@@ -1,4 +1,4 @@
-#include "core/lrc_codec.h"
+#include "core/tvmec.h"
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@ constexpr std::size_t kUnit = 2048;
 
 ec::LrcParams azure() { return ec::LrcParams{12, 2, 2, 8}; }
 
-tensor::AlignedBuffer<std::uint8_t> make_stripe(LrcCodec& codec,
+tensor::AlignedBuffer<std::uint8_t> make_stripe(Codec& codec,
                                                 std::uint64_t seed) {
   const auto& p = codec.params();
   tensor::AlignedBuffer<std::uint8_t> stripe(p.n() * kUnit);
@@ -20,15 +20,23 @@ tensor::AlignedBuffer<std::uint8_t> make_stripe(LrcCodec& codec,
   std::copy(data.span().begin(), data.span().end(), stripe.data());
   codec.encode(
       std::span<const std::uint8_t>(stripe.data(), p.k * kUnit),
-      std::span<std::uint8_t>(stripe.data() + p.k * kUnit,
-                              (p.l + p.g) * kUnit),
+      std::span<std::uint8_t>(stripe.data() + p.k * kUnit, p.r * kUnit),
       kUnit);
   return stripe;
 }
 
+/// Local repair of one unit is a decode of that unit; the plan says how
+/// many units it read.
+std::size_t repair_local(Codec& codec, std::span<std::uint8_t> stripe,
+                         std::size_t failed, std::size_t unit) {
+  const std::vector<std::size_t> erased{failed};
+  codec.decode(stripe, erased, unit);
+  return codec.plan(erased)->survivors.size();
+}
+
 TEST(LrcCodec, EncodeMatchesBitmatrixReference) {
-  LrcCodec codec(azure());
-  const auto& p = codec.params();
+  Codec codec(azure());
+  const ec::LrcParams p = azure();
   const auto data = testutil::random_bytes(p.k * kUnit, 1);
   tensor::AlignedBuffer<std::uint8_t> parity((p.l + p.g) * kUnit);
   codec.encode(data.span(), parity.span(), kUnit);
@@ -41,14 +49,15 @@ TEST(LrcCodec, EncodeMatchesBitmatrixReference) {
 }
 
 TEST(LrcCodec, LocalRepairReadsOnlyGroupAndRestoresExactly) {
-  LrcCodec codec(azure());
-  const auto& p = codec.params();
+  Codec codec(azure());
+  const ec::LrcParams p = azure();
   const auto pristine = make_stripe(codec, 2);
 
   for (const std::size_t failed : {0u, 5u, 7u, 11u, 12u, 13u}) {
     tensor::AlignedBuffer<std::uint8_t> stripe = pristine;
     std::fill_n(stripe.data() + failed * kUnit, kUnit, 0xBB);
-    const std::size_t reads = codec.repair_local(stripe.span(), failed, kUnit);
+    const std::size_t reads =
+        repair_local(codec, stripe.span(), failed, kUnit);
     EXPECT_EQ(reads, p.group_size());  // locality: k/l reads, not k
     ASSERT_TRUE(std::equal(pristine.span().begin(), pristine.span().end(),
                            stripe.span().begin()))
@@ -57,16 +66,21 @@ TEST(LrcCodec, LocalRepairReadsOnlyGroupAndRestoresExactly) {
 }
 
 TEST(LrcCodec, GlobalParityHasNoLocalRepair) {
-  LrcCodec codec(azure());
-  auto stripe = make_stripe(codec, 3);
-  EXPECT_THROW(codec.repair_local(stripe.span(), 14, kUnit),
-               std::invalid_argument);
-  EXPECT_THROW(codec.repair_local(stripe.span(), 99, kUnit),
+  // A global parity has no group: its plan reads k units, and decoding
+  // it restores the stripe like any other single loss.
+  Codec codec(azure());
+  const auto pristine = make_stripe(codec, 3);
+  tensor::AlignedBuffer<std::uint8_t> stripe = pristine;
+  std::fill_n(stripe.data() + 14 * kUnit, kUnit, 0xBB);
+  EXPECT_EQ(repair_local(codec, stripe.span(), 14, kUnit), azure().k);
+  EXPECT_TRUE(std::equal(pristine.span().begin(), pristine.span().end(),
+                         stripe.span().begin()));
+  EXPECT_THROW(repair_local(codec, stripe.span(), 99, kUnit),
                std::invalid_argument);
 }
 
 TEST(LrcCodec, MultiFailureDecode) {
-  LrcCodec codec(azure());
+  Codec codec(azure());
   const auto pristine = make_stripe(codec, 4);
 
   // Up-to-g failures are always decodable; try data+global mixes.
@@ -82,7 +96,7 @@ TEST(LrcCodec, MultiFailureDecode) {
 }
 
 TEST(LrcCodec, UnrecoverablePatternThrows) {
-  LrcCodec codec(ec::LrcParams{4, 2, 1, 8});
+  Codec codec(ec::LrcParams{4, 2, 1, 8});
   auto stripe = make_stripe(codec, 5);
   // Both units of group 0, its local parity, and the global: 4 erasures
   // with only 3 parities overall -> unrecoverable.
@@ -100,8 +114,8 @@ class LrcCodecConfigTest : public ::testing::TestWithParam<LrcConfig> {};
 /// Encode + local repair of every repairable unit + a g-failure decode,
 /// across group shapes and field sizes.
 TEST_P(LrcCodecConfigTest, FullCycleAcrossConfigs) {
-  LrcCodec codec(GetParam().params);
-  const auto& p = codec.params();
+  Codec codec(GetParam().params);
+  const ec::LrcParams& p = GetParam().params;
   const std::size_t unit = 8 * p.w * 4;
   tensor::AlignedBuffer<std::uint8_t> stripe(p.n() * unit);
   const auto data = testutil::random_bytes(p.k * unit, p.k * p.l);
@@ -115,7 +129,7 @@ TEST_P(LrcCodecConfigTest, FullCycleAcrossConfigs) {
   // Local repair of every data and local-parity unit.
   for (std::size_t u = 0; u < p.k + p.l; ++u) {
     std::fill_n(stripe.data() + u * unit, unit, 0xEE);
-    EXPECT_EQ(codec.repair_local(stripe.span(), u, unit), p.group_size());
+    EXPECT_EQ(repair_local(codec, stripe.span(), u, unit), p.group_size());
     ASSERT_TRUE(std::equal(pristine.span().begin(), pristine.span().end(),
                            stripe.span().begin()))
         << "unit " << u;
@@ -144,7 +158,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(LrcCodec, ScheduleChangeKeepsResults) {
-  LrcCodec codec(azure());
+  Codec codec(azure());
   const auto pristine = make_stripe(codec, 6);
   tensor::Schedule s;
   s.tile_m = 8;
@@ -154,7 +168,7 @@ TEST(LrcCodec, ScheduleChangeKeepsResults) {
 
   tensor::AlignedBuffer<std::uint8_t> stripe = pristine;
   std::fill_n(stripe.data(), kUnit, 0);
-  codec.repair_local(stripe.span(), 0, kUnit);
+  repair_local(codec, stripe.span(), 0, kUnit);
   EXPECT_TRUE(std::equal(pristine.span().begin(), pristine.span().end(),
                          stripe.span().begin()));
   // Re-encode under the new schedule matches too.

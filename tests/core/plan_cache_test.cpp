@@ -15,8 +15,12 @@ namespace tvmec::core {
 namespace {
 
 PlanKey key_for(std::vector<std::size_t> erased, bool optimized = false) {
-  return PlanKey{10, 4, 8, ec::RsFamily::CauchyGood, optimized,
-                 std::move(erased)};
+  PlanKey key;
+  key.erased = std::move(erased);
+  key.optimized = optimized;
+  key.w = 8;
+  key.k = 10;
+  return key;
 }
 
 /// A real builder against a real generator, counting invocations.
@@ -218,6 +222,39 @@ TEST(PlanCache, SharedAcrossCodecInstances) {
   const auto after_second = cache->stats();
   EXPECT_GT(after_second.hits, after_first.hits);
   EXPECT_EQ(after_second.misses, after_first.misses);
+}
+
+/// Two different codes of one shape (k = 12, four parities) share a cache
+/// and lose the same units: the key identifies the code exactly, so each
+/// codec gets its own plan and both stripes come back.
+TEST(PlanCache, RsAndLrcOfOneShapeDoNotShareEntries) {
+  const auto cache = std::make_shared<PlanCache>();
+  constexpr std::size_t kUnit = 1024;
+  Codec rs(ec::CodeParams{12, 4, 8});
+  Codec lrc(ec::LrcParams{12, 2, 2, 8});
+  const std::vector<std::size_t> pattern = {0, 13};
+
+  for (Codec* codec : {&rs, &lrc}) {
+    codec->set_plan_cache(cache);
+    const std::size_t k = codec->params().k;
+    tensor::AlignedBuffer<std::uint8_t> stripe(codec->params().n() * kUnit);
+    const auto data = testutil::random_bytes(k * kUnit, 405);
+    std::copy(data.span().begin(), data.span().end(), stripe.data());
+    codec->encode(
+        std::span<const std::uint8_t>(stripe.data(), k * kUnit),
+        std::span<std::uint8_t>(stripe.data() + k * kUnit,
+                                codec->params().r * kUnit),
+        kUnit);
+    tensor::AlignedBuffer<std::uint8_t> damaged = stripe;
+    for (const std::size_t id : pattern)
+      std::fill_n(damaged.data() + id * kUnit, kUnit, 0xEE);
+    codec->decode(damaged.span(), pattern, kUnit);
+    EXPECT_TRUE(std::equal(stripe.span().begin(), stripe.span().end(),
+                           damaged.span().begin()))
+        << "n=" << codec->params().n();
+  }
+  EXPECT_EQ(cache->stats().misses, 2u);
+  EXPECT_EQ(cache->stats().entries, 2u);
 }
 
 }  // namespace
