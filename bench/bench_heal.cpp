@@ -32,6 +32,7 @@
 #include "cluster/healer.h"
 #include "cluster/membership.h"
 #include "cluster/repair.h"
+#include "serve/stats.h"
 #include "storage/fault_injector.h"
 
 namespace {
@@ -89,12 +90,6 @@ std::size_t stripes_at_risk(cluster::Cluster& cl) {
   return n;
 }
 
-std::uint64_t percentile(std::vector<std::uint64_t> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  return v[static_cast<std::size_t>(p * static_cast<double>(v.size() - 1))];
-}
-
 struct CampaignResult {
   std::size_t detection_ticks = 0;  ///< crash -> Dead verdict
   std::size_t drain_ticks = 0;      ///< verdict -> empty queue
@@ -131,9 +126,10 @@ CampaignResult run_heal_campaign(const ec::CodeParams& params, bool priority,
   for (int t = 0; t < 16; ++t) healer.tick();  // warm the gap estimators
 
   CampaignResult res;
-  std::vector<std::uint64_t> baseline;
+  std::vector<double> baseline;
   for (std::size_t i = 0; i < 32; ++i) baseline.push_back(timed_get(cl, i));
-  res.baseline_p99 = percentile(baseline, 0.99);
+  res.baseline_p99 =
+      static_cast<std::uint64_t>(serve::sample_percentile(baseline, 99));
 
   // Kill under load: foreground reads keep flowing while phi accrues.
   injector.crash_node(1);
@@ -162,7 +158,7 @@ CampaignResult run_heal_campaign(const ec::CodeParams& params, bool priority,
 
   const std::uint64_t busy_t0 = cl.net().now_us();
   const std::uint64_t bytes0 = healer.stats().repair_bytes;
-  std::vector<std::uint64_t> under_repair;
+  std::vector<double> under_repair;
   while (healer.pending() != 0 && res.drain_ticks < 20000) {
     healer.tick();
     ++res.drain_ticks;
@@ -172,7 +168,8 @@ CampaignResult run_heal_campaign(const ec::CodeParams& params, bool priority,
   }
   res.busy_us = cl.net().now_us() - busy_t0;
   res.repair_bytes = healer.stats().repair_bytes - bytes0;
-  res.repair_p99 = percentile(under_repair, 0.99);
+  res.repair_p99 =
+      static_cast<std::uint64_t>(serve::sample_percentile(under_repair, 99));
   res.hstats = healer.stats();
 
   // Gates. Convergence first: an unfinished drain poisons the rest.

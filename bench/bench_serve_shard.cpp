@@ -28,6 +28,7 @@
 #include "bench_util.h"
 #include "core/tvmec.h"
 #include "serve/shard.h"
+#include "serve/stats.h"
 
 namespace {
 
@@ -41,13 +42,6 @@ const serve::CodecKey kKey{kK, kR, 8, ec::RsFamily::CauchyGood};
 
 bool g_smoke = false;
 bool g_identities_ok = true;
-
-double percentile(std::vector<double>& v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double idx = p / 100.0 * static_cast<double>(v.size() - 1);
-  return v[static_cast<std::size_t>(idx + 0.5)];
-}
 
 /// Heavy-tailed tenant draw: P(tenant i) ~ 1 / i^s over 1..n.
 class Zipf {
@@ -236,11 +230,11 @@ void print_shard_sweep() {
     std::vector<double> all;
     for (const auto& [tenant, lats] : r.lat_us)
       all.insert(all.end(), lats.begin(), lats.end());
-    std::vector<double> a1 = all, a2 = all, a3 = all;
     std::printf("%-8zu | %9.2f %8.0f %8.0f %9.0f | %8llu %8llu | %6llu "
                 "%7llu\n",
-                shards, r.gbps, percentile(a1, 50), percentile(a2, 99),
-                percentile(a3, 99.9),
+                shards, r.gbps, serve::sample_percentile(all, 50),
+                serve::sample_percentile(all, 99),
+                serve::sample_percentile(all, 99.9),
                 static_cast<unsigned long long>(r.stats.aggregate.accepted),
                 static_cast<unsigned long long>(
                     r.stats.aggregate.rejected_overload),
@@ -283,7 +277,6 @@ void print_qos_fairness() {
       auto it = r.lat_us.find(t.tenant);
       std::vector<double> lats =
           it == r.lat_us.end() ? std::vector<double>{} : it->second;
-      std::vector<double> l2 = lats;
       const double acc_ratio =
           t.submitted == 0 ? 0.0
                            : static_cast<double>(t.accepted) /
@@ -296,8 +289,8 @@ void print_qos_fairness() {
                   static_cast<unsigned long long>(t.submitted),
                   static_cast<unsigned long long>(t.accepted),
                   static_cast<unsigned long long>(t.completed_ok),
-                  100.0 * acc_ratio, percentile(lats, 99),
-                  percentile(l2, 99.9));
+                  100.0 * acc_ratio, serve::sample_percentile(lats, 99),
+                  serve::sample_percentile(lats, 99.9));
     }
     const double jain = sum_sq == 0
                             ? 0.0

@@ -1,9 +1,7 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <cstring>
 #include <set>
-#include <stdexcept>
 
 #include "cluster/membership.h"
 #include "cluster/repair.h"
@@ -32,13 +30,10 @@ const char* to_string(DamageKind k) noexcept {
 
 Cluster::Cluster(const ec::CodeParams& params, std::size_t unit_size,
                  const ClusterConfig& config)
-    : StripeLayout(params, unit_size, config.num_nodes, this),
+    : ObjectLayout(params, unit_size, config.num_nodes, this),
       config_(config),
       net_(config.num_nodes, config.num_domains, config.net, config.seed),
       ewma_(config.num_nodes) {
-  if (config.num_nodes < params.n())
-    throw std::invalid_argument(
-        "Cluster: need at least k + r nodes for distinct placement");
   engine_.set_retry_policy(config.retry);
   repairer_ = std::make_unique<RepairCoordinator>(*this);
 }
@@ -46,6 +41,7 @@ Cluster::Cluster(const ec::CodeParams& params, std::size_t unit_size,
 Cluster::~Cluster() = default;
 
 const ClusterStats& Cluster::stats() const noexcept {
+  static_cast<storage::ObjectStats&>(stats_) = object_stats_;
   stats_.corruptions_detected = engine_.stats().corruptions_detected;
   stats_.failed_nodes = engine_.stats().failed_nodes;
   return stats_;
@@ -70,89 +66,24 @@ bool Cluster::carry(std::size_t node, bool to_node,
 
 void Cluster::put(const std::string& name,
                   std::span<const std::uint8_t> bytes) {
-  remove(name);
-  const std::size_t n = params().n();
-  const std::size_t unit = unit_size();
-  const std::size_t stripe_data = params().k * unit;
-  const std::size_t num_stripes = engine_.stripe_count(bytes.size());
-
-  std::vector<std::uint8_t> stripe(n * unit);
-  std::vector<std::size_t> failed_stripes;
-  for (std::size_t s = 0; s < num_stripes; ++s) {
-    // Place this stripe's n units on consecutive nodes from a rotating
-    // start: with domain_of(i) == i % D, consecutive node ids round-robin
-    // the failure domains, so the stripe spreads over min(n, D) domains.
-    std::vector<std::size_t> nodes(n);
-    const std::size_t start = next_rotation_++;
-    for (std::size_t u = 0; u < n; ++u) nodes[u] = (start + u) % num_nodes();
-
-    const std::size_t off = s * stripe_data;
-    const std::size_t take = std::min(stripe_data, bytes.size() - off);
-    std::memcpy(stripe.data(), bytes.data() + off, take);
-    std::memset(stripe.data() + take, 0, stripe_data - take);
-    engine_.encode(stripe.data());
-
-    // Each unit ships client -> node over the network, then persists.
-    Stripe& st = engine_.add_stripe(name, s, std::move(nodes));
-    bool stripe_ok = true;
-    for (std::size_t u = 0; u < n; ++u) {
-      std::uint64_t latency = 0;
-      stripe_ok &= engine_.store_unit(st, u, stripe.data() + u * unit,
-                                      &latency);
-      stats_.write_virtual_us += latency;
-      net_.advance(latency);
-    }
-    if (!stripe_ok) failed_stripes.push_back(s);
-    ++stats_.stripes_written;
-  }
-  objects_[name] = bytes.size();
-  stats_.objects = objects_.size();
+  const PutResult res = ObjectLayout::put(name, bytes);
+  stats_.write_virtual_us += res.latency_us;
+  net_.advance(res.latency_us);
   // Write failures become damage events only once the object metadata is
-  // registered — the healer re-assesses the stripe through objects_.
-  for (const std::size_t s : failed_stripes)
+  // registered — the healer re-assesses the stripe through it.
+  for (const std::size_t s : res.failed_stripes)
     report_damage(DamageKind::WriteFailure, name, s);
   foreground_bytes_ += bytes.size();
 }
 
 std::optional<std::vector<std::uint8_t>> Cluster::get(
     const std::string& name) {
-  const auto it = objects_.find(name);
-  if (it == objects_.end()) return std::nullopt;
-  const std::size_t size = it->second;
-  std::vector<std::uint8_t> out;
-  out.reserve(size);
-  const std::size_t stripe_data = params().k * unit_size();
-  for (std::size_t s = 0; s < engine_.stripe_count(size); ++s) {
-    const auto stripe = read_stripe(name, s);
-    const std::size_t take = std::min(stripe_data, size - out.size());
-    out.insert(out.end(), stripe.data(), stripe.data() + take);
-  }
-  foreground_bytes_ += out.size();
+  auto out = ObjectLayout::get(name);
+  if (out) foreground_bytes_ += out->size();
   return out;
 }
 
-bool Cluster::exists(const std::string& name) const {
-  return objects_.contains(name);
-}
-
-void Cluster::remove(const std::string& name) {
-  const auto it = objects_.find(name);
-  if (it == objects_.end()) return;
-  for (std::size_t s = 0; s < engine_.stripe_count(it->second); ++s)
-    engine_.remove_stripe(name, s);
-  objects_.erase(it);
-  stats_.objects = objects_.size();
-}
-
-void Cluster::fail_node(std::size_t node) {
-  if (node >= num_nodes())
-    throw std::invalid_argument("Cluster: node out of range");
-  engine_.fail_node(node);
-}
-
 void Cluster::revive_node(std::size_t node) {
-  if (node >= num_nodes())
-    throw std::invalid_argument("Cluster: node out of range");
   // The engine clears injector crash state even when the failure never
   // reached its bookkeeping (a crash observed by no op yet). The node
   // rejoins empty: everything it held is re-replication debt. Report
@@ -199,33 +130,6 @@ void Cluster::report_damage(DamageKind kind, const std::string& name,
   damage_sink_->report_damage(kind, name, stripe);
 }
 
-const std::vector<std::size_t>& Cluster::placement(const std::string& name,
-                                                   std::size_t s) const {
-  const auto it = engine_.stripes().find({name, s});
-  if (it == engine_.stripes().end())
-    throw std::invalid_argument("Cluster::placement: unknown object/stripe");
-  return it->second.nodes;
-}
-
-std::size_t Cluster::object_stripe_count(const std::string& name) const {
-  const auto it = objects_.find(name);
-  return it == objects_.end() ? 0 : engine_.stripe_count(it->second);
-}
-
-std::vector<std::string> Cluster::object_names() const {
-  std::vector<std::string> names;
-  names.reserve(objects_.size());
-  for (const auto& [name, size] : objects_) names.push_back(name);
-  return names;
-}
-
-bool Cluster::corrupt_unit(const std::string& name, std::size_t stripe,
-                           std::size_t unit) {
-  Stripe* st = engine_.find_stripe(name, stripe);
-  return st != nullptr && unit < params().n() &&
-         engine_.corrupt_unit(*st, unit);
-}
-
 std::size_t Cluster::repair() { return repairer_->repair_all(); }
 
 std::size_t Cluster::scrub() {
@@ -262,13 +166,10 @@ void Cluster::update_ewma(std::size_t node, std::uint64_t latency_us) {
   ++e.samples;
 }
 
-std::vector<std::uint8_t> Cluster::read_stripe(const std::string& name,
-                                               std::size_t s) {
+bool Cluster::read_stripe(Stripe& st, std::span<std::uint8_t> stripe) {
   const std::size_t k = params().k;
   const std::size_t n = params().n();
   const std::size_t unit = unit_size();
-  Stripe& st = *engine_.find_stripe(name, s);
-  std::vector<std::uint8_t> stripe(n * unit);
   std::vector<bool> have(n, false);
   std::vector<std::size_t> erased;
   std::uint64_t stripe_latency = 0;
@@ -337,14 +238,13 @@ std::vector<std::uint8_t> Cluster::read_stripe(const std::string& name,
     // The degraded read *discovered* lost redundancy: report it before
     // deciding recoverability, so even a stripe that turns out to be
     // past r reaches the healer's ledger.
-    report_damage(DamageKind::ReadCorruption, name, s);
+    report_damage(DamageKind::ReadCorruption, st.name, st.index);
     engine_.rebuild(st, stripe, erased, "Cluster::get");
-    ++stats_.degraded_reads;
   }
 
   stats_.read_virtual_us += stripe_latency;
   net_.advance(stripe_latency);  // stripes of a get() serialize on the client
-  return stripe;
+  return !erased.empty();
 }
 
 }  // namespace tvmec::cluster

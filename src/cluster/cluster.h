@@ -1,28 +1,28 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cluster/net.h"
 #include "core/tvmec.h"
 #include "ec/code_params.h"
-#include "storage/stripe_engine.h"
+#include "storage/object_layout.h"
 
-/// A deterministic simulated multi-node erasure-coded cluster: a layout
-/// over the shared storage::StripeEngine (the same unit pipeline as
-/// StripeStore, RaidArray and CheckpointManager) whose units move over
-/// the modeled Network, so traffic, latency and link faults are
-/// accounted, and whose disk ops consult the shared FaultInjector, so
-/// disk and wire chaos replay from one seed.
+/// A deterministic simulated multi-node erasure-coded cluster: the
+/// shared storage::ObjectLayout (the same object striping as
+/// StripeStore, over the same StripeEngine unit pipeline) whose units
+/// move over the modeled Network, so traffic, latency and link faults
+/// are accounted, and whose disk ops consult the shared FaultInjector,
+/// so disk and wire chaos replay from one seed.
 ///
-/// What this layout adds on top of the engine:
-///  - stripe placement across failure domains (a stripe's n units spread
-///    over min(n, num_domains) domains, so one domain outage costs at
-///    most ceil(n/domains) units per stripe)
+/// What this layout adds on top of the object layout:
+///  - failure domains: node i is in domain i % num_domains, so the
+///    rotated placement spreads a stripe over min(n, num_domains) of
+///    them and one domain outage costs at most ceil(n/domains) units
 ///  - routing by the membership view: a unit on a node the failure
 ///    detector calls Dead reads as missing (RPC timeout == retry
 ///    exhaustion under storage::RetryPolicy), and reads degrade to
@@ -88,10 +88,7 @@ struct ClusterConfig {
   std::uint64_t seed = 0xC1457;  ///< network jitter stream
 };
 
-struct ClusterStats {
-  std::size_t objects = 0;
-  std::size_t stripes_written = 0;
-  std::size_t degraded_reads = 0;   ///< stripes that needed reconstruction
+struct ClusterStats : storage::ObjectStats {
   std::size_t hedged_reads = 0;     ///< hedge requests issued
   std::size_t hedge_wins = 0;       ///< hedged path beat the straggler
   std::size_t corruptions_detected = 0;
@@ -107,9 +104,20 @@ struct ClusterStats {
 // Transport comes first: it must be constructed before the layout's
 // engine is handed a pointer to it. The layout base is private so no
 // caller can attach an injector to the disks but not the network.
-class Cluster : private storage::StripeEngine::Transport,
-                private storage::StripeLayout {
+class Cluster final : private storage::StripeEngine::Transport,
+                      private storage::ObjectLayout {
  public:
+  using ObjectLayout::corrupt_unit;
+  using ObjectLayout::exists;
+  using ObjectLayout::fail_node;
+  using ObjectLayout::num_nodes;
+  using ObjectLayout::object_names;
+  using ObjectLayout::object_stripe_count;
+  using ObjectLayout::params;
+  using ObjectLayout::placement;
+  using ObjectLayout::remove;
+  using ObjectLayout::set_plan_cache;  // shared with the repair coordinator
+  using ObjectLayout::unit_size;
   using StripeLayout::fault_injector;
   using StripeLayout::retry_policy;
   using StripeLayout::retry_stats;
@@ -124,9 +132,6 @@ class Cluster : private storage::StripeEngine::Transport,
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  const ec::CodeParams& params() const noexcept { return engine_.params(); }
-  std::size_t unit_size() const noexcept { return engine_.unit_size(); }
-  std::size_t num_nodes() const noexcept { return engine_.num_nodes(); }
   std::size_t num_domains() const noexcept { return net_.num_domains(); }
   std::size_t domain_of(std::size_t node) const noexcept {
     return net_.domain_of(node);
@@ -143,30 +148,16 @@ class Cluster : private storage::StripeEngine::Transport,
     net_.attach_fault_injector(injector);
   }
 
-  /// Shares a decode-plan cache across degraded reads, the repair
-  /// coordinator (whose plans are keyed by their survivor preference),
-  /// and any other consumers. Null detaches.
-  void set_plan_cache(std::shared_ptr<core::PlanCache> cache) {
-    engine_.codec().set_plan_cache(std::move(cache));
-  }
   const std::shared_ptr<core::PlanCache>& plan_cache() const noexcept {
     return engine_.codec().plan_cache();
   }
 
-  /// Stores an object: stripes of k*unit_size bytes (last zero-padded),
-  /// encoded, units shipped over the network to their placed nodes.
+  /// ObjectLayout::put with units shipped over the network; a stripe
+  /// with a unit not stored is reported (kind WriteFailure).
   void put(const std::string& name, std::span<const std::uint8_t> bytes);
-
-  /// Retrieves an object; reads degrade through survivors and hedge
-  /// around stragglers. Returns nullopt for unknown names; throws
-  /// std::runtime_error when a stripe has more than r units unreachable.
+  /// ObjectLayout::get; reads hedge around stragglers.
   std::optional<std::vector<std::uint8_t>> get(const std::string& name);
 
-  bool exists(const std::string& name) const;
-  void remove(const std::string& name);
-
-  /// Marks a node failed and drops its units (a dead machine).
-  void fail_node(std::size_t node);
   /// Replacement hardware: the node rejoins empty; injector crash state
   /// for it is cleared. The units it held when it failed are its
   /// re-replication debt: each affected stripe is reported to the
@@ -212,18 +203,6 @@ class Cluster : private storage::StripeEngine::Transport,
     return b;
   }
 
-  /// Nodes holding each unit of object `name`'s stripe `s` (n entries).
-  /// Throws std::invalid_argument on unknown object/stripe.
-  const std::vector<std::size_t>& placement(const std::string& name,
-                                            std::size_t s) const;
-  std::size_t object_stripe_count(const std::string& name) const;
-  std::vector<std::string> object_names() const;
-
-  /// Test/chaos hook: flips one byte of a stored unit, checksum left
-  /// stale. Returns false when the unit is not on a live node.
-  bool corrupt_unit(const std::string& name, std::size_t stripe,
-                    std::size_t unit);
-
   /// DAG-based repair of everything lost or corrupt (see repair.h).
   /// Returns units rebuilt. Unrecoverable stripes are skipped.
   std::size_t repair();
@@ -250,10 +229,9 @@ class Cluster : private storage::StripeEngine::Transport,
   bool carry(std::size_t node, bool to_node,
              std::uint64_t& latency_us) override;
 
-  /// Reads stripe s with degradation + hedging; returns the full n-unit
-  /// buffer and accumulates modeled latency.
-  std::vector<std::uint8_t> read_stripe(const std::string& name,
-                                        std::size_t s);
+  /// Reads a stripe with degradation + hedging into `stripe` and
+  /// accumulates its modeled latency.
+  bool read_stripe(Stripe& st, std::span<std::uint8_t> stripe) override;
 
   void update_ewma(std::size_t node, std::uint64_t latency_us);
   /// Emits a damage event when a sink is attached (no-op otherwise).
@@ -262,9 +240,7 @@ class Cluster : private storage::StripeEngine::Transport,
 
   ClusterConfig config_;
   Network net_;
-  std::map<std::string, std::size_t> objects_;  ///< name -> size in bytes
   mutable ClusterStats stats_;
-  std::size_t next_rotation_ = 0;
   struct Ewma {
     double value = 0.0;
     std::uint32_t samples = 0;

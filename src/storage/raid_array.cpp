@@ -91,24 +91,6 @@ std::vector<std::uint8_t> RaidArray::read_block(std::size_t lba) {
   return out;
 }
 
-void RaidArray::fail_device(std::size_t device) {
-  if (device >= num_devices())
-    throw std::invalid_argument("fail_device: device out of range");
-  engine_.fail_node(device);
-}
-
-void RaidArray::replace_device(std::size_t device) {
-  if (device >= num_devices())
-    throw std::invalid_argument("replace_device: device out of range");
-  engine_.revive_node(device);  // blank: its units stay absent
-}
-
-bool RaidArray::device_failed(std::size_t device) const {
-  if (device >= num_devices())
-    throw std::invalid_argument("device_failed: device out of range");
-  return engine_.node_failed(device);
-}
-
 std::size_t RaidArray::rebuild() {
   std::size_t rebuilt = 0;
   const std::size_t block = block_size();

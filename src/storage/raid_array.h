@@ -65,12 +65,15 @@ class RaidArray : public StripeLayout {
   /// its contents fail the checksum after retries.
   std::vector<std::uint8_t> read_block(std::size_t lba);
 
-  /// Takes a device offline, losing its contents.
-  void fail_device(std::size_t device);
+  /// Takes a device offline, losing its contents. Out-of-range devices
+  /// throw std::invalid_argument here and below.
+  void fail_device(std::size_t device) { engine_.fail_node(device); }
   /// Installs a blank replacement for a failed device (does not rebuild).
   /// Also clears any crash the attached fault injector recorded.
-  void replace_device(std::size_t device);
-  bool device_failed(std::size_t device) const;
+  void replace_device(std::size_t device) { engine_.revive_node(device); }
+  bool device_failed(std::size_t device) const {
+    return engine_.node_failed(device);
+  }
 
   /// Reconstructs every block of every online-but-blank device.
   /// Returns blocks rebuilt. Throws std::runtime_error if some stripe
@@ -91,8 +94,6 @@ class RaidArray : public StripeLayout {
   bool corrupt_unit(std::size_t stripe, std::size_t unit);
 
  private:
-  friend class Scrubber;
-
   /// Unit u of stripe s lives on device (u + s) % n (rotated layout).
   StripeEngine::Stripe& stripe_at(std::size_t s) {
     return *engine_.find_stripe("", s);

@@ -3,18 +3,18 @@
 #include <cstdint>
 #include <string>
 
-#include "storage/raid_array.h"
 #include "storage/scrub_types.h"
-#include "storage/stripe_store.h"
+#include "storage/stripe_engine.h"
 
 /// Background scrubbing: the maintenance loop real deployments run
 /// continuously so latent corruption is found (and repaired through the
 /// erasure code) before a second fault turns it into data loss. Walks
-/// the stripes of a StripeStore or RaidArray through their StripeEngine
-/// with a resumable cursor, so a pass can proceed in small increments
-/// interleaved with foreground traffic — call step() with a stripe
-/// budget from wherever your event loop has slack, and the cursor picks
-/// up where it left off, tolerating objects added or removed in between.
+/// the stripes of a storage layout (StripeStore, RaidArray) through its
+/// StripeEngine with a resumable cursor, so a pass can proceed in small
+/// increments interleaved with foreground traffic — call step() with a
+/// stripe budget from wherever your event loop has slack, and the cursor
+/// picks up where it left off, tolerating objects added or removed in
+/// between.
 namespace tvmec::storage {
 
 /// Aggregate counters for one scrub pass (or the running partial pass).
@@ -42,8 +42,7 @@ struct ScrubStats {
 class Scrubber {
  public:
   /// Non-owning: the target must outlive the scrubber.
-  explicit Scrubber(StripeStore& store) : engine_(&store.engine_) {}
-  explicit Scrubber(RaidArray& array) : engine_(&array.engine_) {}
+  explicit Scrubber(StripeLayout& layout) : engine_(&layout.engine_) {}
 
   /// Scrubs up to `max_stripes` stripes from the cursor. Returns the
   /// stats of *this increment*. When the increment reaches the end of

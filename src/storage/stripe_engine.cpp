@@ -19,7 +19,14 @@ StripeEngine::StripeEngine(const ec::CodeParams& params, std::size_t unit_size,
   ec::packet_bytes(params, unit_size);  // validates unit_size
 }
 
+void StripeEngine::check_node(std::size_t node) const {
+  if (node >= nodes_.size())
+    throw std::invalid_argument("StripeEngine: node " + std::to_string(node) +
+                                " out of range");
+}
+
 void StripeEngine::fail_node(std::size_t node) {
+  check_node(node);
   Node& n = nodes_[node];
   if (n.failed) return;
   n.failed = true;
@@ -35,6 +42,7 @@ void StripeEngine::fail_node(std::size_t node) {
 
 std::vector<StripeEngine::UnitKey> StripeEngine::revive_node(
     std::size_t node) {
+  check_node(node);
   if (injector_) injector_->repair_node(node);
   Node& n = nodes_[node];
   if (!n.failed) return {};

@@ -16,8 +16,8 @@
 #include "storage/scrub_types.h"
 
 /// The one stripe engine under every storage layout in this repo
-/// (StripeStore, RaidArray, CheckpointManager, cluster::Cluster). It owns
-/// the unit pipeline those layouts share:
+/// (ObjectLayout, which StripeStore and cluster::Cluster share;
+/// RaidArray; CheckpointManager). It owns the unit pipeline they share:
 ///
 ///  - nodes that fail (dropping what they hold), revive empty, and take
 ///    injected corruption;
@@ -30,8 +30,7 @@
 ///
 /// Every FaultInjector read/write consult happens here, so one seeded
 /// fault stream drives every layout the same way. A layout decides only
-/// where stripes go and what they mean (objects, LBAs, checkpoint ranks,
-/// failure domains).
+/// where stripes go and what they mean (objects, LBAs, checkpoint ranks).
 namespace tvmec::storage {
 
 /// Outcome of one unit read after faults, retries and CRC verification.
@@ -100,12 +99,16 @@ class StripeEngine {
   }
 
   /// Marks a node failed; everything it held is dropped and remembered
-  /// as its lost units. Idempotent.
+  /// as its lost units. Idempotent. This and the next two throw
+  /// std::invalid_argument for a node out of range.
   void fail_node(std::size_t node);
   /// Clears any injector crash for the node and, if it was failed, brings
   /// it back empty. Returns the units it lost when it failed.
   std::vector<UnitKey> revive_node(std::size_t node);
-  bool node_failed(std::size_t node) const { return nodes_[node].failed; }
+  bool node_failed(std::size_t node) const {
+    check_node(node);
+    return nodes_[node].failed;
+  }
 
   /// Registers stripe (name, index) placed on `nodes` (n entries), with
   /// no unit stored yet. Replaces any stripe of that key.
@@ -127,10 +130,6 @@ class StripeEngine {
     return stripes_;
   }
 
-  /// Stripes an object of `bytes` bytes spans (k data units each).
-  std::size_t stripe_count(std::size_t bytes) const noexcept {
-    return (bytes + params_.k * unit_size_ - 1) / (params_.k * unit_size_);
-  }
   /// Fills the r parity units of an n-unit stripe buffer from its k data
   /// units.
   void encode(std::uint8_t* stripe);
@@ -190,6 +189,7 @@ class StripeEngine {
     std::vector<UnitKey> lost;  ///< units dropped when it last failed
   };
 
+  void check_node(std::size_t node) const;
   /// rebuild's decode and CRC check (at most r erased); false, counted,
   /// when a rebuilt unit is bad.
   bool decode_verified(const Stripe& st, std::span<std::uint8_t> stripe,
@@ -210,9 +210,9 @@ class StripeEngine {
   RetryStats retry_stats_;
 };
 
-/// Base of the storage layouts (StripeStore, RaidArray,
-/// CheckpointManager, cluster::Cluster): owns their engine and exposes
-/// its fault-injection and retry knobs.
+/// Base of the storage layouts (ObjectLayout, RaidArray,
+/// CheckpointManager): owns their engine and exposes its fault-injection
+/// and retry knobs.
 class StripeLayout {
  public:
   /// Attaches (or detaches, with nullptr) the fault injector consulted
@@ -237,6 +237,8 @@ class StripeLayout {
   }
 
  protected:
+  friend class Scrubber;
+
   StripeLayout(const ec::CodeParams& params, std::size_t unit_size,
                std::size_t num_nodes,
                StripeEngine::Transport* transport = nullptr)

@@ -186,7 +186,10 @@ class ScrubRig {
   }
   void write(const std::vector<std::uint8_t>& payload) {
     size_ = payload.size();
-    if (store_) return store_->put("obj", payload);
+    if (store_) {
+      store_->put("obj", payload);
+      return;
+    }
     for (std::size_t lba = 0; lba * unit_ < size_; ++lba) {
       std::vector<std::uint8_t> block(unit_, 0);
       const std::size_t take = std::min(unit_, size_ - lba * unit_);

@@ -32,49 +32,6 @@ TEST(StripeStore, PutGetRoundTrip) {
   EXPECT_EQ(store.stats().degraded_reads, 0u);
 }
 
-TEST(StripeStore, SizesThatDontFillStripes) {
-  StripeStore store = make_store();
-  for (const std::size_t size : {1u, 511u, 512u, 2047u, 2048u, 2049u, 9999u}) {
-    const auto payload = testutil::random_vector(size, size);
-    store.put("o" + std::to_string(size), payload);
-    const auto got = store.get("o" + std::to_string(size));
-    ASSERT_TRUE(got.has_value()) << size;
-    EXPECT_EQ(*got, payload) << size;
-  }
-}
-
-TEST(StripeStore, EmptyObject) {
-  StripeStore store = make_store();
-  store.put("empty", {});
-  const auto got = store.get("empty");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(got->empty());
-}
-
-TEST(StripeStore, MissingObjectReturnsNullopt) {
-  StripeStore store = make_store();
-  EXPECT_FALSE(store.get("nope").has_value());
-  EXPECT_FALSE(store.exists("nope"));
-}
-
-TEST(StripeStore, OverwriteReplacesContent) {
-  StripeStore store = make_store();
-  store.put("obj", testutil::random_vector(3000, 2));
-  const auto v2 = testutil::random_vector(1234, 3);
-  store.put("obj", v2);
-  EXPECT_EQ(*store.get("obj"), v2);
-  EXPECT_EQ(store.stats().objects, 1u);
-}
-
-TEST(StripeStore, RemoveDeletesUnits) {
-  StripeStore store = make_store();
-  store.put("obj", testutil::random_vector(3000, 4));
-  store.remove("obj");
-  EXPECT_FALSE(store.exists("obj"));
-  EXPECT_EQ(store.stats().objects, 0u);
-  EXPECT_NO_THROW(store.remove("obj"));  // idempotent
-}
-
 TEST(StripeStore, DegradedReadSurvivesRFailures) {
   StripeStore store = make_store(6);  // n == nodes: every node holds a unit
   const auto payload = testutil::random_vector(20000, 5);
@@ -157,27 +114,6 @@ TEST(StripeStore, ScrubFindsAndRepairsCorruption) {
   // Healed: a second scrub is clean and reads are exact.
   EXPECT_EQ(store.scrub(), 0u);
   EXPECT_EQ(*store.get("obj"), payload);
-}
-
-TEST(StripeStore, CorruptUnitHookValidation) {
-  StripeStore store = make_store();
-  store.put("obj", testutil::random_vector(1000, 32));
-  EXPECT_FALSE(store.corrupt_unit("missing", 0, 0));
-  EXPECT_FALSE(store.corrupt_unit("obj", 99, 0));
-  EXPECT_FALSE(store.corrupt_unit("obj", 0, 99));
-}
-
-TEST(StripeStore, NodeValidation) {
-  StripeStore store = make_store();
-  EXPECT_THROW(store.fail_node(100), std::invalid_argument);
-  EXPECT_THROW(store.revive_node(100), std::invalid_argument);
-  EXPECT_THROW(store.node_failed(100), std::invalid_argument);
-  store.fail_node(2);
-  store.fail_node(2);  // idempotent
-  EXPECT_EQ(store.stats().failed_nodes, 1u);
-  store.revive_node(2);
-  store.revive_node(2);
-  EXPECT_EQ(store.stats().failed_nodes, 0u);
 }
 
 /// The store must work over every supported field size (the codec's
