@@ -24,6 +24,13 @@ ObjectLayout::PutResult ObjectLayout::put(const std::string& name,
   const std::size_t stripe_data = params().k * unit;
   const std::size_t num_stripes = stripe_count(bytes.size());
 
+  // Parity always lands in the staging stripe's parity units; a full
+  // stripe's data units are read in place from the caller's bytes.
+  std::vector<const std::uint8_t*> data(params().k);
+  std::vector<std::uint8_t*> parity(params().r);
+  for (std::size_t i = 0; i < parity.size(); ++i)
+    parity[i] = stripe_.data() + (params().k + i) * unit;
+
   PutResult res;
   for (std::size_t s = 0; s < num_stripes; ++s) {
     std::vector<std::size_t> nodes(n);
@@ -33,15 +40,25 @@ ObjectLayout::PutResult ObjectLayout::put(const std::string& name,
 
     const std::size_t off = s * stripe_data;
     const std::size_t len = std::min(stripe_data, bytes.size() - off);
-    std::memcpy(stripe_.data(), bytes.data() + off, len);
-    std::memset(stripe_.data() + len, 0, stripe_data - len);
-    engine_.encode(stripe_.data());
+    const std::uint8_t* src = bytes.data() + off;
+    if (len == stripe_data) {
+      for (std::size_t u = 0; u < data.size(); ++u) data[u] = src + u * unit;
+      engine_.codec().encode_scattered(data, parity, unit);
+    } else {
+      // The tail stripe: zero-padded in staging, encoded contiguously.
+      std::memcpy(stripe_.data(), src, len);
+      std::memset(stripe_.data() + len, 0, stripe_data - len);
+      engine_.encode(stripe_.data());
+      src = stripe_.data();
+    }
 
     StripeEngine::Stripe& st = engine_.add_stripe(name, s, std::move(nodes));
     bool stored = true;
-    for (std::size_t u = 0; u < n; ++u)
-      stored &= engine_.store_unit(st, u, stripe_.data() + u * unit,
-                                   &res.latency_us);
+    for (std::size_t u = 0; u < n; ++u) {
+      const std::uint8_t* unit_src =
+          u < params().k ? src + u * unit : stripe_.data() + u * unit;
+      stored &= engine_.store_unit(st, u, unit_src, &res.latency_us);
+    }
     if (!stored) res.failed_stripes.push_back(s);
   }
   objects_[name] = bytes.size();

@@ -13,10 +13,12 @@
 
 /// The object striping StripeStore and cluster::Cluster share: named
 /// objects split into stripes of k*unit_size bytes (the last
-/// zero-padded), encoded through the GEMM-backed Codec (the contiguous
-/// path of the paper's §5), and placed with rotation: each stripe's n
-/// units go on consecutive nodes from a start that advances by one per
-/// stripe. A subclass supplies only the stripe read (read_stripe).
+/// zero-padded), encoded through the GEMM-backed Codec, and placed with
+/// rotation. A full stripe encodes zero-copy (Codec::encode_scattered
+/// reads its data units in place in the caller's bytes, the paper's §5);
+/// only the tail stripe and the parity units go through staging. Each
+/// stripe's n units go on consecutive nodes from a start that advances by
+/// one per stripe. A subclass supplies only the stripe read (read_stripe).
 namespace tvmec::storage {
 
 /// ObjectLayout's counters; StoreStats and ClusterStats extend them.
@@ -97,8 +99,9 @@ class ObjectLayout : public StripeLayout {
   }
   std::map<std::string, std::size_t> objects_;  ///< name -> size in bytes
   std::size_t next_rotation_ = 0;               ///< first node of next stripe
-  /// One stripe of staging for put and get (neither reenters the other),
-  /// allocated once: a buffer per call fragments the heap between units.
+  /// One stripe of staging for put (parity units, and the whole tail
+  /// stripe) and get (neither reenters the other), allocated once: a
+  /// buffer per call fragments the heap between units.
   tensor::AlignedBuffer<std::uint8_t> stripe_;
 };
 

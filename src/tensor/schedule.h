@@ -78,8 +78,11 @@ struct Schedule {
 /// (The dispatch table in kernel.cpp covers the cross product.)
 bool is_supported_tile(int tile_m, int tile_n) noexcept;
 
-/// A safe default schedule that performs reasonably everywhere; tuning
-/// starts from — and must beat — this.
+/// The measured default every GemmCoder starts from (storage codecs,
+/// repair coders, device codecs): an 8x16 register tile, N blocked at 512
+/// words, one thread ("mt8x16 kb0 nb512 t1 pn g0 vauto"). Tuning starts
+/// from — and must beat — this. Schedule's member defaults (a 4x4 tile,
+/// no blocking) are the aggregate-initialisation base, not this schedule.
 Schedule default_schedule() noexcept;
 
 }  // namespace tvmec::tensor

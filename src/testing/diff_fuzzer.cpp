@@ -86,7 +86,7 @@ class ForcedVariantGuard {
 std::unique_ptr<ec::MatrixCoder> make_backend_coder(core::Backend backend,
                                                     const gf::Matrix& coeffs,
                                                     std::size_t sched) {
-  if (backend == core::Backend::Gemm && sched != 0)
+  if (backend == core::Backend::Gemm)
     return core::make_gemm_coder(
         coeffs, DiffFuzzer::schedule_menu().at(sched));
   return core::make_coder(backend, coeffs);
@@ -130,6 +130,7 @@ std::optional<std::string> check_scattered_codec(
     std::span<const std::uint8_t> oracle_bitpacket) {
   if (c.r == 0) return std::nullopt;
   core::Codec codec(ec::CodeParams{c.k, c.r, c.w}, c.family);
+  codec.set_schedule(DiffFuzzer::schedule_menu().at(c.sched));
   std::mt19937_64 rng(c.frag ^ 0x5CA77E4EDull);
   std::vector<Bytes> units;
   std::vector<const std::uint8_t*> in_ptrs;
@@ -292,6 +293,7 @@ FuzzOutcome run_rs_decode(const FuzzConfig& c) {
   // loss pattern, and must reject out-of-range or excess patterns with
   // invalid_argument rather than garbage output.
   core::Codec codec(params, c.family);
+  codec.set_schedule(DiffFuzzer::schedule_menu().at(c.sched));
   {
     Bytes work = stripe_bitpacket;
     for (const std::size_t id : erased)
@@ -359,8 +361,7 @@ FuzzOutcome run_lrc(const FuzzConfig& c) {
   core::Codec codec(params);
   const std::size_t n = params.n();
   const std::size_t unit = c.unit_size;
-  if (c.sched != 0)
-    codec.set_schedule(DiffFuzzer::schedule_menu().at(c.sched));
+  codec.set_schedule(DiffFuzzer::schedule_menu().at(c.sched));
 
   const Bytes data = seeded_bytes(c.k * unit, c.seed);
   Bytes stripe(n * unit);
@@ -1471,7 +1472,9 @@ FuzzOutcome run_serve_shard(const FuzzConfig& c) {
 const std::vector<tensor::Schedule>& DiffFuzzer::schedule_menu() {
   static const std::vector<tensor::Schedule> menu = [] {
     std::vector<tensor::Schedule> m;
-    m.push_back(tensor::default_schedule());
+    // The pre-measurement default, pinned so fuzz:v1 lines without
+    // sched= replay the schedule they were found under.
+    m.push_back({.tile_m = 4, .tile_n = 4});
     m.push_back({.tile_m = 1, .tile_n = 1});                    // scalar
     m.push_back({.tile_m = 8, .tile_n = 64, .block_k = 8,
                  .block_n = 256});                              // big tiles

@@ -38,8 +38,9 @@ struct FuzzOutcome {
 class DiffFuzzer {
  public:
   /// The fixed GEMM schedule menu FuzzConfig::sched indexes (entry 0 is
-  /// the default schedule). Kept small and stable so reproducer strings
-  /// stay meaningful across versions.
+  /// the unblocked 4x4 tile, tensor::default_schedule() before it was
+  /// measured). Kept small and stable so reproducer strings stay
+  /// meaningful across versions.
   static const std::vector<tensor::Schedule>& schedule_menu();
 
   /// Executes one config against every applicable backend. Never throws

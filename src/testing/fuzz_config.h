@@ -81,8 +81,8 @@ struct FuzzConfig {
   /// deliberately allowed to be unsorted or to hold duplicates, because
   /// tolerating such inputs is part of the decode contract under test.
   std::vector<std::size_t> losses;
-  /// Index into the fuzzer's fixed GEMM schedule menu (0 = default
-  /// schedule). See DiffFuzzer::schedule_menu().
+  /// Index into the fuzzer's fixed GEMM schedule menu (0 = the
+  /// unblocked 4x4 tile). See DiffFuzzer::schedule_menu().
   std::size_t sched = 0;
   /// Scattered-operand axis (RsEncode only): when nonzero, seeds the
   /// random fragmentation of two extra arms — Codec::encode_scattered

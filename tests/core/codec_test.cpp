@@ -320,6 +320,17 @@ TEST(Codec, InvalidParamsThrow) {
   EXPECT_THROW(Codec codec(ec::CodeParams{300, 4, 8}), std::invalid_argument);
 }
 
+/// Every codec built without set_schedule (storage engines, cluster
+/// repair) runs the measured default, for RS and LRC alike.
+TEST(Codec, StartsOnTheMeasuredDefaultSchedule) {
+  EXPECT_EQ(Codec(ec::CodeParams{10, 4, 8}).encoder().schedule(),
+            tensor::default_schedule());
+  EXPECT_EQ(Codec(ec::LrcParams{12, 2, 2, 8}).encoder().schedule(),
+            tensor::default_schedule());
+  EXPECT_EQ(tensor::default_schedule().to_string(),
+            "mt8x16 kb0 nb512 t1 pn g0 vauto");
+}
+
 
 /// encode_scattered with per-unit buffers must match contiguous encode
 /// byte-for-byte, and aligned units must not stage. Threshold 0: this

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,6 +37,15 @@ Bytes oracle_parity(const CodecKey& key, std::span<const std::uint8_t> data,
   Bytes parity(key.r * unit);
   codec.encode(data, parity.span(), unit);
   return parity;
+}
+
+/// The service schedule is the storage default with the thread knob
+/// opened to the pool, byte for byte the tile it has always run.
+TEST(EcService, DefaultServiceScheduleIsPinned) {
+  const std::size_t width =
+      std::min<std::size_t>(tensor::ThreadPool::shared().size(), 256);
+  EXPECT_EQ(default_service_schedule().to_string(),
+            "mt8x16 kb0 nb512 t" + std::to_string(width) + " pn g0 vauto");
 }
 
 TEST(EcService, EncodeMatchesCodecOracle) {

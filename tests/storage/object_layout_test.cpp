@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <variant>
+#include <vector>
 
 #include "../test_util.h"
 #include "cluster/cluster.h"
+#include "core/gemm_coder.h"
 #include "storage/stripe_store.h"
+#include "tensor/kernel.h"
 
 namespace tvmec::storage {
 namespace {
@@ -17,20 +22,26 @@ namespace {
 constexpr std::size_t kUnit = 512;
 constexpr std::size_t kNodes = 8;
 const ec::CodeParams kParams{4, 2, 8};  // 2048 data bytes per stripe
+/// Units at the scattered kernel's zero-copy threshold: smaller ones
+/// stage by design (GemmCoder::kScatteredStageMaxBytes).
+constexpr std::size_t kZeroCopyUnit = core::GemmCoder::kScatteredStageMaxBytes;
 
 /// The object contract StripeStore and cluster::Cluster share through
 /// ObjectLayout, run against each: every case body is a generic lambda,
 /// instantiated once per store type.
 class ObjectContract : public ::testing::TestWithParam<const char*> {
  protected:
-  void SetUp() override {
+  void SetUp() override { make(kUnit); }
+
+  /// Replaces the store with a fresh one of `unit`-byte units.
+  void make(std::size_t unit) {
     if (std::string(GetParam()) == "StripeStore") {
-      store_ = std::make_unique<StripeStore>(kParams, kUnit, kNodes);
+      store_ = std::make_unique<StripeStore>(kParams, unit, kNodes);
     } else {
       cluster::ClusterConfig cfg;
       cfg.num_nodes = kNodes;
       cfg.num_domains = 2;
-      store_ = std::make_unique<cluster::Cluster>(kParams, kUnit, cfg);
+      store_ = std::make_unique<cluster::Cluster>(kParams, unit, cfg);
     }
   }
 
@@ -116,6 +127,52 @@ TEST_P(ObjectContract, DegradedReadsCountStripes) {
     EXPECT_EQ(*store.get("obj"), payload);
     EXPECT_EQ(store.stats().degraded_reads, 2u);
     EXPECT_EQ(store.stats().stripes_written, 3u);
+  });
+}
+
+TEST_P(ObjectContract, FullStripesPutZeroCopy) {
+  make(kZeroCopyUnit);
+  on_store([](auto& store) {
+    // Two full stripes read in place from the caller's bytes, and a tail
+    // encoded in staging: the kernel stages nothing.
+    const auto payload =
+        testutil::random_vector(2 * kParams.k * kZeroCopyUnit + 5000, 40);
+    const auto before = tensor::kernel_stage_stats().stage_bytes;
+    store.put("obj", payload);
+    EXPECT_EQ(tensor::kernel_stage_stats().stage_bytes, before);
+    ASSERT_EQ(store.object_stripe_count("obj"), 3u);
+    EXPECT_EQ(*store.get("obj"), payload);
+  });
+}
+
+TEST_P(ObjectContract, MisalignedCallerBytesRoundTrip) {
+  make(kZeroCopyUnit);
+  on_store([](auto& store) {
+    // An odd offset fails the kernel's word alignment, so the full
+    // stripes take the staged fallback; the bytes must not change.
+    const auto payload =
+        testutil::random_vector(2 * kParams.k * kZeroCopyUnit + 77, 41);
+    std::vector<std::uint8_t> shifted(payload.size() + 1);
+    std::memcpy(shifted.data() + 1, payload.data(), payload.size());
+    const auto before = tensor::kernel_stage_stats().stage_bytes;
+    store.put("obj", std::span<const std::uint8_t>(shifted).subspan(1));
+    EXPECT_GT(tensor::kernel_stage_stats().stage_bytes, before);
+    EXPECT_EQ(*store.get("obj"), payload);
+  });
+}
+
+TEST_P(ObjectContract, ZeroCopyParityRebuildsLostDataUnits) {
+  make(kZeroCopyUnit);
+  on_store([](auto& store) {
+    // Fail the nodes under stripe 0's first r data units: the get must
+    // rebuild them from the parity the zero-copy encode wrote.
+    const auto payload =
+        testutil::random_vector(2 * kParams.k * kZeroCopyUnit, 42);
+    store.put("obj", payload);
+    const std::vector<std::size_t> nodes = store.placement("obj", 0);
+    for (std::size_t u = 0; u < kParams.r; ++u) store.fail_node(nodes[u]);
+    EXPECT_EQ(*store.get("obj"), payload);
+    EXPECT_EQ(store.stats().degraded_reads, 2u);
   });
 }
 

@@ -392,7 +392,7 @@ TEST(Schedule, ValidityAndToString) {
   EXPECT_TRUE(s.valid());
   EXPECT_FALSE((Schedule{3, 4, 0, 0, 1}).valid());
   EXPECT_FALSE((Schedule{4, 4, 0, 0, 0}).valid());
-  EXPECT_NE(s.to_string().find("mt4x4"), std::string::npos);
+  EXPECT_NE(s.to_string().find("mt8x16"), std::string::npos);
   EXPECT_TRUE(is_supported_tile(8, 1));
   EXPECT_FALSE(is_supported_tile(8, 5));
 }
