@@ -87,13 +87,14 @@ inline void tune_gemm(core::GemmCoder& coder, std::size_t unit_size,
   tune::TuneResult result = coder.tune(unit_size, opt, max_threads);
 
   // Re-measure the top 6 distinct candidates with longer, interleaved
-  // sampling and install the true winner.
+  // sampling and install the true winner. The first finalist is what tune
+  // installed, which is the coder's starting schedule when no trial beat it.
   auto history = result.history;
   std::sort(history.begin(), history.end(),
             [](const auto& a, const auto& b) {
               return a.throughput > b.throughput;
             });
-  std::vector<tensor::Schedule> finalists;
+  std::vector<tensor::Schedule> finalists = {result.best_schedule};
   for (const auto& rec : history) {
     if (std::find(finalists.begin(), finalists.end(), rec.schedule) ==
         finalists.end())

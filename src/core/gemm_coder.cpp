@@ -239,7 +239,9 @@ tune::TuneResult GemmCoder::tune(std::size_t unit_size,
         [&] { apply(data.span(), parity.span(), unit_size); }, 5);
     return bytes / secs;
   };
-  tune::TuneResult result = tune::tune(space, measure, options);
+  // The search may find nothing faster than the schedule already
+  // installed; the incumbent is measured too and kept in that case.
+  tune::TuneResult result = tune::tune(space, measure, options, saved);
   schedule_ = result.best_throughput > 0 ? result.best_schedule : saved;
   return result;
 }

@@ -75,8 +75,9 @@ class GemmCoder final : public ec::MatrixCoder {
                        const tensor::CancelToken& cancel = {}) const;
 
   /// Autotunes the encode for the given unit size on synthetic data and
-  /// installs the best schedule found (the paper's §6.1 measurement
-  /// setup, with a configurable trial budget instead of 20 000).
+  /// installs the best schedule found, or keeps the current one when it
+  /// measures faster (the paper's §6.1 measurement setup, with a
+  /// configurable trial budget instead of 20 000).
   /// `max_threads` caps the thread knob of the search space.
   /// Returns the full tuning history for analysis.
   tune::TuneResult tune(std::size_t unit_size,

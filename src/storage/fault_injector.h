@@ -12,7 +12,7 @@
 /// layers. The paper motivates erasure coding with failure-driven
 /// workloads (RAID, object stores, in-memory checkpointing, §3); this is
 /// the failure side of that story. The StripeEngine under every storage
-/// layout (StripeStore, RaidArray, CheckpointManager, the cluster)
+/// layout (StripeStore, CheckpointManager, the cluster)
 /// consults an attached FaultInjector on *every* simulated unit read and
 /// write, so chaos tests can subject the whole stack to the classic
 /// taxonomy:

@@ -52,19 +52,83 @@ ObjectLayout::PutResult ObjectLayout::put(const std::string& name,
       src = stripe_.data();
     }
 
-    StripeEngine::Stripe& st = engine_.add_stripe(name, s, std::move(nodes));
-    bool stored = true;
-    for (std::size_t u = 0; u < n; ++u) {
-      const std::uint8_t* unit_src =
-          u < params().k ? src + u * unit : stripe_.data() + u * unit;
-      stored &= engine_.store_unit(st, u, unit_src, &res.latency_us);
-    }
-    if (!stored) res.failed_stripes.push_back(s);
+    store_units(engine_.add_stripe(name, s, std::move(nodes)), src, 0,
+                params().k, res);
   }
   objects_[name] = bytes.size();
   object_stats_.objects = objects_.size();
   object_stats_.stripes_written += num_stripes;
   return res;
+}
+
+ObjectLayout::PutResult ObjectLayout::write(
+    const std::string& name, std::size_t offset,
+    std::span<const std::uint8_t> bytes) {
+  const auto it = objects_.find(name);
+  if (it == objects_.end())
+    throw std::invalid_argument("ObjectLayout::write: unknown object " + name);
+  if (offset > it->second || bytes.size() > it->second - offset)
+    throw std::invalid_argument("ObjectLayout::write: range past the end of " +
+                                name);
+  const std::size_t unit = unit_size();
+  const std::size_t stripe_data = params().k * unit;
+
+  PutResult res;
+  for (std::size_t done = 0; done < bytes.size();) {
+    const std::size_t s = (offset + done) / stripe_data;
+    const std::size_t at = offset + done - s * stripe_data;
+    const std::size_t len = std::min(stripe_data - at, bytes.size() - done);
+    const auto src = bytes.subspan(done, len);
+    done += len;
+    StripeEngine::Stripe& st = *engine_.find_stripe(name, s);
+    const std::size_t u = at / unit;
+    if (u == (at + len - 1) / unit && patch_unit(st, u, at % unit, src, res))
+      continue;
+    if (read_stripe(st, stripe_.span())) ++object_stats_.degraded_reads;
+    std::memcpy(stripe_.data() + at, src.data(), len);
+    engine_.encode(stripe_.data());
+    store_units(st, stripe_.data(), 0, params().k, res);
+  }
+  return res;
+}
+
+bool ObjectLayout::patch_unit(StripeEngine::Stripe& st, std::size_t u,
+                              std::size_t at, std::span<const std::uint8_t> src,
+                              PutResult& res) {
+  const std::size_t k = params().k;
+  const std::size_t n = params().n();
+  const std::size_t unit = unit_size();
+  // The old unit is kept in a spare data slot of the staging stripe. With
+  // k == 1 there is none, and the patch would move all n units anyway.
+  if (k == 1 || !engine_.holds_unit(st, u)) return false;
+  for (std::size_t p = k; p < n; ++p)
+    if (!engine_.holds_unit(st, p)) return false;
+  std::uint8_t* const fresh = stripe_.data() + u * unit;
+  std::uint8_t* const old = stripe_.data() + (u + 1) % k * unit;
+  if (engine_.read_unit(st, u, fresh) != UnitRead::Ok) return false;
+  for (std::size_t p = k; p < n; ++p)
+    if (engine_.read_unit(st, p, stripe_.data() + p * unit) != UnitRead::Ok)
+      return false;
+  std::memcpy(old, fresh, unit);
+  std::memcpy(fresh + at, src.data(), src.size());
+  engine_.codec().patch_parity(u, {old, unit}, {fresh, unit},
+                               stripe_.span().subspan(k * unit), unit);
+  store_units(st, stripe_.data(), u, u + 1, res);
+  return true;
+}
+
+void ObjectLayout::store_units(StripeEngine::Stripe& st,
+                               const std::uint8_t* data, std::size_t first,
+                               std::size_t last, PutResult& res) {
+  const std::size_t k = params().k;
+  const std::size_t unit = unit_size();
+  bool stored = true;
+  for (std::size_t u = first; u < last; ++u)
+    stored &= engine_.store_unit(st, u, data + u * unit, &res.latency_us);
+  for (std::size_t u = k; u < params().n(); ++u)
+    stored &= engine_.store_unit(st, u, stripe_.data() + u * unit,
+                                 &res.latency_us);
+  if (!stored) res.failed_stripes.push_back(st.index);
 }
 
 std::optional<std::vector<std::uint8_t>> ObjectLayout::get(

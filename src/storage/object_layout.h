@@ -18,7 +18,10 @@
 /// reads its data units in place in the caller's bytes, the paper's §5);
 /// only the tail stripe and the parity units go through staging. Each
 /// stripe's n units go on consecutive nodes from a start that advances by
-/// one per stripe. A subclass supplies only the stripe read (read_stripe).
+/// one per stripe, so with n nodes this is the rotated (left-symmetric)
+/// RAID layout, and one fixed-size object written in place through
+/// write() is a RAID array. A subclass supplies only the stripe read
+/// (read_stripe).
 namespace tvmec::storage {
 
 /// ObjectLayout's counters; StoreStats and ClusterStats extend them.
@@ -50,6 +53,23 @@ class ObjectLayout : public StripeLayout {
   /// destined to failed or crashed nodes are lost, as on real hardware,
   /// and repair rebuilds them later.
   PutResult put(const std::string& name, std::span<const std::uint8_t> bytes);
+
+  /// Overwrites bytes [offset, offset + bytes.size()) of an existing
+  /// object in place; the object never grows. Each stripe the range
+  /// touches is rewritten one of two ways:
+  ///  - the RAID small write, when the range lies in one data unit and
+  ///    that unit and the r parity units are held and read clean: the new
+  ///    bytes are overlaid on the old unit, Codec::patch_parity folds the
+  ///    delta into the parity, and 1 + r units are stored;
+  ///  - otherwise the stripe is read through read_stripe (degraded when it
+  ///    must be, counted in degraded_reads), overlaid, re-encoded, and all
+  ///    n units are stored.
+  /// Throws std::invalid_argument for an unknown name or a range past the
+  /// object's size, and std::runtime_error (from read_stripe) when a
+  /// stripe has more than r units unreadable; stripes before it are
+  /// already rewritten.
+  PutResult write(const std::string& name, std::size_t offset,
+                  std::span<const std::uint8_t> bytes);
 
   /// Retrieves an object, stripe by stripe through read_stripe. Returns
   /// nullopt for unknown names; throws std::runtime_error when a stripe
@@ -97,10 +117,20 @@ class ObjectLayout : public StripeLayout {
   std::size_t stripe_count(std::size_t bytes) const noexcept {
     return (bytes + params().k * unit_size() - 1) / (params().k * unit_size());
   }
+  /// write's small-write path for bytes `src` at byte `at` of data unit
+  /// u. False, with nothing stored, when a needed unit is not held or
+  /// does not read clean.
+  bool patch_unit(StripeEngine::Stripe& st, std::size_t u, std::size_t at,
+                  std::span<const std::uint8_t> src, PutResult& res);
+  /// Stores data units [first, last) from `data` (unit u at data +
+  /// u*unit_size) and the r parity units from stripe_, recording the
+  /// stripe in res.failed_stripes when a unit was not stored.
+  void store_units(StripeEngine::Stripe& st, const std::uint8_t* data,
+                   std::size_t first, std::size_t last, PutResult& res);
   std::map<std::string, std::size_t> objects_;  ///< name -> size in bytes
   std::size_t next_rotation_ = 0;               ///< first node of next stripe
   /// One stripe of staging for put (parity units, and the whole tail
-  /// stripe) and get (neither reenters the other), allocated once: a
+  /// stripe), get and write (none reenters another), allocated once: a
   /// buffer per call fragments the heap between units.
   tensor::AlignedBuffer<std::uint8_t> stripe_;
 };

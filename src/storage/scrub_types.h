@@ -3,7 +3,7 @@
 #include <cstddef>
 
 /// Shared result types for stripe-granular scrubbing: produced by
-/// StripeEngine::scrub_stripe (behind StripeStore and RaidArray) and
+/// StripeEngine::scrub_stripe (behind StripeStore::scrub and repair) and
 /// aggregated by the Scrubber.
 namespace tvmec::storage {
 

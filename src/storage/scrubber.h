@@ -9,7 +9,7 @@
 /// Background scrubbing: the maintenance loop real deployments run
 /// continuously so latent corruption is found (and repaired through the
 /// erasure code) before a second fault turns it into data loss. Walks
-/// the stripes of a storage layout (StripeStore, RaidArray) through its
+/// the stripes of a storage layout (a StripeStore) through its
 /// StripeEngine with a resumable cursor, so a pass can proceed in small
 /// increments interleaved with foreground traffic — call step() with a
 /// stripe budget from wherever your event loop has slack, and the cursor

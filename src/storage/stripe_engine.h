@@ -17,7 +17,7 @@
 
 /// The one stripe engine under every storage layout in this repo
 /// (ObjectLayout, which StripeStore and cluster::Cluster share;
-/// RaidArray; CheckpointManager). It owns the unit pipeline they share:
+/// CheckpointManager). It owns the unit pipeline they share:
 ///
 ///  - nodes that fail (dropping what they hold), revive empty, and take
 ///    injected corruption;
@@ -210,9 +210,8 @@ class StripeEngine {
   RetryStats retry_stats_;
 };
 
-/// Base of the storage layouts (ObjectLayout, RaidArray,
-/// CheckpointManager): owns their engine and exposes its fault-injection
-/// and retry knobs.
+/// Base of the storage layouts (ObjectLayout, CheckpointManager): owns
+/// their engine and exposes its fault-injection and retry knobs.
 class StripeLayout {
  public:
   /// Attaches (or detaches, with nullptr) the fault injector consulted

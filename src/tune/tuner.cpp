@@ -169,6 +169,19 @@ TuneResult tune(const SearchSpace& space, const MeasureFn& measure,
   return std::move(rec).take();
 }
 
+TuneResult tune(const SearchSpace& space, const MeasureFn& measure,
+                const TuneOptions& options,
+                const tensor::Schedule& incumbent) {
+  TuneResult result = tune(space, measure, options);
+  Recorder probe(measure, 1);
+  const TrialRecord& rec = probe.run(incumbent);
+  if (!rec.failed && rec.throughput > result.best_throughput) {
+    result.best_schedule = incumbent;
+    result.best_throughput = rec.throughput;
+  }
+  return result;
+}
+
 double measure_seconds_median(const std::function<void()>& fn,
                               std::size_t repeats) {
   if (repeats == 0)

@@ -72,6 +72,14 @@ struct TuneResult {
 TuneResult tune(const SearchSpace& space, const MeasureFn& measure,
                 const TuneOptions& options);
 
+/// Retuning a schedule already in use: runs tune, then measures
+/// `incumbent` once with the same MeasureFn and reports it as the best
+/// when it outran every trial (a tie goes to the trial). The
+/// incumbent's measurement is not a trial: history, failed_trials and
+/// the budget are exactly those of tune.
+TuneResult tune(const SearchSpace& space, const MeasureFn& measure,
+                const TuneOptions& options, const tensor::Schedule& incumbent);
+
 /// Times `fn` (already-warm) `repeats` times and returns the *median*
 /// seconds per invocation — the standard robust estimator for
 /// microbenchmark-style measurement.

@@ -40,6 +40,11 @@ void append_log(const std::string& path, const TaskShape& shape,
     out << key << " | " << rec.schedule.to_string() << " | "
         << rec.throughput << "\n";
   }
+  // A kept incumbent outran every trial: log it too, so a reload installs
+  // it rather than the slower best trial.
+  if (result.best_throughput > result.best_after(result.history.size()))
+    out << key << " | " << result.best_schedule.to_string() << " | "
+        << result.best_throughput << "\n";
   if (!out) throw std::runtime_error("append_log: write failed on " + path);
 }
 

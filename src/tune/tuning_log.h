@@ -29,7 +29,8 @@ struct LoadLogStats {
 };
 
 /// Appends every trial of `result` for `shape` to the log at `path`
-/// (creating the file if needed). Throws std::runtime_error on I/O
+/// (creating the file if needed), and its best when that outran every
+/// trial (an incumbent tune kept). Throws std::runtime_error on I/O
 /// failure.
 void append_log(const std::string& path, const TaskShape& shape,
                 const TuneResult& result);

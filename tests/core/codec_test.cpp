@@ -289,11 +289,15 @@ TEST(Codec, TuneCachedReusesLoggedSchedules) {
   EXPECT_EQ(fresh.history.size(), 6u);
 
   // A second codec with the same shape loads the log instead of tuning:
-  // same best schedule, and the history comes back verbatim.
+  // same best schedule, and the history comes back verbatim, plus one
+  // record when the codec's incumbent schedule outran every trial.
   Codec second(ec::CodeParams{6, 3, 8});
   const auto cached = second.tune_cached(kUnit, opt, 1, log);
   EXPECT_EQ(cached.best_schedule, fresh.best_schedule);
-  EXPECT_EQ(cached.history.size(), fresh.history.size());
+  const bool kept_incumbent =
+      fresh.best_throughput > fresh.best_after(fresh.history.size());
+  EXPECT_EQ(cached.history.size(),
+            fresh.history.size() + (kept_incumbent ? 1 : 0));
   EXPECT_EQ(second.encoder().schedule(), fresh.best_schedule);
 
   // A different task shape tunes fresh and appends.

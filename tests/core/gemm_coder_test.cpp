@@ -143,10 +143,20 @@ TEST(GemmCoder, TuneInstallsBestScheduleAndImproves) {
   opt.policy = tune::Policy::Random;
   opt.trials = 12;
   opt.seed = 3;
+  const tensor::Schedule incumbent = coder.schedule();
   const tune::TuneResult result = coder.tune(unit, opt, 1);
   EXPECT_EQ(result.history.size(), 12u);
   EXPECT_GT(result.best_throughput, 0.0);
   EXPECT_EQ(coder.schedule(), result.best_schedule);
+  // What is installed is the fastest of the trials and the schedule the
+  // coder started from (measured outside the trial budget).
+  bool from_history = false;
+  for (const auto& rec : result.history) {
+    EXPECT_GE(result.best_throughput, rec.throughput);
+    from_history |= rec.schedule == result.best_schedule &&
+                    rec.throughput == result.best_throughput;
+  }
+  EXPECT_TRUE(from_history || result.best_schedule == incumbent);
 
   // Tuned coder still encodes correctly.
   const auto data = random_bytes(params.k * unit, 31);

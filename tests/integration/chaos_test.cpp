@@ -4,10 +4,10 @@
 #include <random>
 #include <tuple>
 
+#include "../storage/block_array.h"
 #include "../test_util.h"
 #include "storage/checkpoint.h"
 #include "storage/crc32c.h"
-#include "storage/raid_array.h"
 #include "storage/scrubber.h"
 #include "storage/stripe_store.h"
 
@@ -163,23 +163,26 @@ TEST(Chaos, StripeStoreCampaignIsDeterministic) {
                c.faults.transient_errors == a.faults.transient_errors);
 }
 
-TEST(Chaos, RaidArrayReadFaultsAndLatentCorruption) {
+TEST(Chaos, BlockArrayReadFaultsAndLatentCorruption) {
   const auto run = [](std::uint64_t seed) {
-    RaidArray raid(ec::CodeParams{4, 2, 8}, 256, 16);
+    testutil::BlockArray a(ec::CodeParams{4, 2, 8}, 256, 16);
+    StripeStore& store = a.store;
     FaultInjector inj(FaultPolicy{}, seed);
-    raid.attach_fault_injector(&inj);
+    store.attach_fault_injector(&inj);
     RetryPolicy retry;
     retry.max_attempts = 8;
-    raid.set_retry_policy(retry);
+    store.set_retry_policy(retry);
 
-    // Clean ingest; the oracle is the block contents themselves.
-    std::vector<std::vector<std::uint8_t>> oracle;
-    for (std::size_t lba = 0; lba < raid.capacity_blocks(); ++lba) {
-      oracle.push_back(testutil::random_vector(256, 1000 + lba));
-      raid.write_block(lba, oracle.back());
+    // Clean ingest, block by block through the small write; the oracle
+    // is the block contents themselves.
+    std::vector<std::uint8_t> oracle;
+    for (std::size_t lba = 0; lba < a.blocks; ++lba) {
+      const auto block = testutil::random_vector(256, 1000 + lba);
+      a.write_block(lba, block);
+      oracle.insert(oracle.end(), block.begin(), block.end());
     }
 
-    // Read-side chaos: flips and transients on every block read. CRCs
+    // Read-side chaos: flips and transients on every unit read. CRCs
     // catch the flips, retries re-read, and when a unit exhausts its
     // budget parity reconstruction (itself CRC-verified) steps in —
     // either way the caller sees correct bytes.
@@ -188,48 +191,48 @@ TEST(Chaos, RaidArrayReadFaultsAndLatentCorruption) {
     read_faults.transient_read = 0.1;
     read_faults.transient_failures = 1;
     inj.set_policy(read_faults);
-    for (std::size_t lba = 0; lba < raid.capacity_blocks(); ++lba)
-      EXPECT_EQ(raid.read_block(lba), oracle[lba]) << "lba " << lba;
-    EXPECT_GT(raid.retry_stats().retries, 0u);
+    EXPECT_EQ(a.disk(), oracle);
+    EXPECT_GT(store.retry_stats().retries, 0u);
     inj.set_policy(FaultPolicy{});
 
     // Latent corruption: up to r units per stripe, found by one scrub.
     std::mt19937_64 rng(seed);
     std::size_t planted = 0;
-    for (std::size_t s = 0; s < raid.num_stripes(); s += 2) {
+    const std::string disk = testutil::BlockArray::kDisk;
+    for (std::size_t s = 0; s < store.object_stripe_count(disk); s += 2) {
       // 1 or 2 (= r) *distinct* units — the corrupt hook toggles a bit,
       // so hitting the same unit twice would cancel out.
       const std::size_t first = rng() % 6;
-      planted += raid.corrupt_unit(s, first) ? 1 : 0;
+      planted += store.corrupt_unit(disk, s, first) ? 1 : 0;
       if (rng() % 2 == 0)
-        planted += raid.corrupt_unit(s, (first + 1 + rng() % 5) % 6) ? 1 : 0;
+        planted +=
+            store.corrupt_unit(disk, s, (first + 1 + rng() % 5) % 6) ? 1 : 0;
     }
-    Scrubber scrubber(raid);
+    Scrubber scrubber(store);
     const ScrubStats pass = scrubber.run();
     EXPECT_GT(planted, 0u);
     EXPECT_EQ(pass.crc_errors, planted);
     EXPECT_EQ(pass.units_repaired, planted);
     EXPECT_EQ(pass.unrecoverable_stripes, 0u);
-    EXPECT_EQ(raid.verify(), 0u);
+    EXPECT_EQ(store.scrub(), 0u);
 
-    // Crash a device mid-life; degraded reads serve, rebuild restores.
+    // Crash a node mid-life; degraded reads serve, repair restores.
     inj.crash_node(3);
-    for (std::size_t lba = 0; lba < raid.capacity_blocks(); ++lba)
-      EXPECT_EQ(raid.read_block(lba), oracle[lba]) << "lba " << lba;
-    EXPECT_TRUE(raid.device_failed(3));
-    raid.replace_device(3);
-    EXPECT_GT(raid.rebuild(), 0u);
-    EXPECT_EQ(raid.verify(), 0u);
-    for (std::size_t lba = 0; lba < raid.capacity_blocks(); ++lba)
-      EXPECT_EQ(raid.read_block(lba), oracle[lba]) << "lba " << lba;
+    EXPECT_EQ(a.disk(), oracle);
+    EXPECT_TRUE(store.node_failed(3));
+    store.revive_node(3);
+    const std::size_t rebuilt = store.repair();
+    EXPECT_GT(rebuilt, 0u);
+    EXPECT_EQ(store.scrub(), 0u);
+    EXPECT_EQ(a.disk(), oracle);
 
     const auto& f = inj.stats();
-    const auto& r = raid.stats();
+    const auto& st = store.stats();
     return std::make_tuple(f.reads, f.read_bit_flips, f.transient_errors,
-                           f.crashes, r.degraded_reads, r.blocks_rebuilt,
-                           r.corruptions_detected, r.units_repaired,
-                           raid.retry_stats().attempts,
-                           raid.retry_stats().retries);
+                           f.crashes, st.degraded_reads, rebuilt,
+                           st.corruptions_detected, st.units_repaired,
+                           store.retry_stats().attempts,
+                           store.retry_stats().retries);
   };
   const auto a = run(0xD15C);
   const auto b = run(0xD15C);

@@ -3,40 +3,39 @@
 #include "../test_util.h"
 #include "core/tvmec.h"
 #include "ec/bitmatrix_code.h"
-#include "storage/chunk_accumulator.h"
 #include "storage/checkpoint.h"
 #include "storage/stripe_store.h"
 #include "tensor/expr.h"
 
-/// End-to-end flows across module boundaries: the §5 chunk-staging path
-/// feeding the codec, tuning feeding the storage layer, and the Listing-3
+/// End-to-end flows across module boundaries: §5 chunks encoded in place
+/// by the codec, tuning feeding the storage layer, and the Listing-3
 /// tensor-expression declaration producing real parities.
 namespace tvmec {
 namespace {
 
 constexpr std::size_t kUnit = 2048;
 
-/// §5 pipeline: chunks arrive out of order, are staged contiguously, the
-/// region feeds the GEMM codec directly, and a damaged stripe decodes.
-TEST(EndToEnd, ChunkAccumulatorFeedsCodec) {
+/// §5 pipeline: chunks arrive out of order, each in its own buffer, and
+/// the codec encodes them in place (encode_scattered takes one pointer per
+/// unit, so no staging region is assembled); a damaged stripe decodes.
+TEST(EndToEnd, OutOfOrderChunksEncodeInPlace) {
   const ec::CodeParams params{6, 3, 8};
   core::Codec codec(params);
-  storage::ChunkAccumulator acc(params.k, kUnit);
 
-  std::vector<std::vector<std::uint8_t>> chunks;
-  for (std::size_t i = 0; i < params.k; ++i)
-    chunks.push_back(testutil::random_vector(kUnit, 42 + i));
-  // Arrival order 3, 0, 5, 1, 4, 2.
-  for (const std::size_t i : {3u, 0u, 5u, 1u, 4u, 2u})
-    acc.add_chunk(i, chunks[i]);
-  ASSERT_TRUE(acc.ready());
-
+  std::vector<tensor::AlignedBuffer<std::uint8_t>> chunks(params.k);
+  std::vector<const std::uint8_t*> data(params.k);
+  // Arrival order 3, 0, 5, 1, 4, 2: each chunk lands in its own slot.
+  for (const std::size_t i : {3u, 0u, 5u, 1u, 4u, 2u}) {
+    chunks[i] = testutil::random_bytes(kUnit, 42 + i);
+    data[i] = chunks[i].data();
+  }
   tensor::AlignedBuffer<std::uint8_t> stripe(params.n() * kUnit);
-  std::copy(acc.data().begin(), acc.data().end(), stripe.data());
-  codec.encode(acc.data(),
-               std::span<std::uint8_t>(stripe.data() + params.k * kUnit,
-                                       params.r * kUnit),
-               kUnit);
+  std::vector<std::uint8_t*> parity(params.r);
+  for (std::size_t p = 0; p < params.r; ++p)
+    parity[p] = stripe.data() + (params.k + p) * kUnit;
+  codec.encode_scattered(data, parity, kUnit);
+  for (std::size_t i = 0; i < params.k; ++i)
+    std::copy_n(chunks[i].data(), kUnit, stripe.data() + i * kUnit);
 
   // Lose three units, recover, verify chunk bytes round-tripped.
   const std::vector<std::size_t> erased = {1, 4, 7};
@@ -44,7 +43,7 @@ TEST(EndToEnd, ChunkAccumulatorFeedsCodec) {
     std::fill_n(stripe.data() + id * kUnit, kUnit, 0);
   codec.decode(stripe.span(), erased, kUnit);
   for (std::size_t i = 0; i < params.k; ++i)
-    ASSERT_TRUE(std::equal(chunks[i].begin(), chunks[i].end(),
+    ASSERT_TRUE(std::equal(chunks[i].data(), chunks[i].data() + kUnit,
                            stripe.data() + i * kUnit))
         << "chunk " << i;
 }

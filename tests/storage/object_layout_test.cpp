@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -207,6 +209,160 @@ INSTANTIATE_TEST_SUITE_P(Layouts, ObjectContract,
                          [](const auto& info) {
                            return std::string(info.param);
                          });
+
+/// ObjectLayout::write, on StripeStore (Cluster keeps write private). Each
+/// test writes through an injector that injects nothing but counts every
+/// unit read and write, and ends with the store equal to its oracle and a
+/// clean scrub.
+class ObjectWrite : public ::testing::Test {
+ protected:
+  void SetUp() override { store_.attach_fault_injector(&inj_); }
+  void TearDown() override {
+    if (!store_.exists("obj")) return;
+    EXPECT_EQ(*store_.get("obj"), oracle_);
+    EXPECT_EQ(store_.scrub(), 0u);
+  }
+
+  /// Puts `size` random bytes as "obj", the oracle's first contents.
+  void put(std::size_t size) {
+    oracle_ = testutil::random_vector(size, size);
+    store_.put("obj", oracle_);
+  }
+  /// Writes `len` fresh bytes at `offset` to the store and the oracle;
+  /// returns the unit reads and writes it made.
+  std::pair<std::uint64_t, std::uint64_t> write(
+      std::size_t offset, std::size_t len,
+      ObjectLayout::PutResult* result = nullptr) {
+    const auto bytes = testutil::random_vector(len, ++seed_);
+    const FaultStats before = inj_.stats();
+    const ObjectLayout::PutResult res = store_.write("obj", offset, bytes);
+    if (result != nullptr) *result = res;
+    std::copy(bytes.begin(), bytes.end(), oracle_.begin() + offset);
+    return {inj_.stats().reads - before.reads,
+            inj_.stats().writes - before.writes};
+  }
+  /// `stripes` small writes (1 + r units each) or whole-stripe rewrites.
+  static std::pair<std::uint64_t, std::uint64_t> patches(std::size_t stripes) {
+    const std::uint64_t io = stripes * (1 + kParams.r);
+    return {io, io};
+  }
+  static std::pair<std::uint64_t, std::uint64_t> reencodes(
+      std::size_t stripes) {
+    const std::uint64_t io = stripes * kParams.n();
+    return {io, io};
+  }
+
+  FaultInjector inj_;
+  StripeStore store_{kParams, kUnit, kNodes};
+  std::vector<std::uint8_t> oracle_;
+  std::uint64_t seed_ = 1000;
+};
+
+TEST_F(ObjectWrite, SubUnitWriteIsOnePatch) {
+  put(3 * 2048);
+  EXPECT_EQ(write(700, 100), patches(1));  // inside unit 1 of stripe 0
+  EXPECT_EQ(write(2048 + 3 * kUnit, kUnit), patches(1));  // a whole unit
+  EXPECT_EQ(store_.stats().degraded_reads, 0u);
+}
+
+TEST_F(ObjectWrite, StripeBoundaryWritePatchesEachStripe) {
+  put(3 * 2048);
+  // Unit 3 of stripe 0 and unit 0 of stripe 1: one small write each.
+  ObjectLayout::PutResult res;
+  EXPECT_EQ(write(2048 - 100, 200, &res), patches(2));
+  EXPECT_TRUE(res.failed_stripes.empty());
+}
+
+TEST_F(ObjectWrite, MultiUnitWriteReencodes) {
+  put(3 * 2048);
+  EXPECT_EQ(write(300, 600), reencodes(1));  // units 0 and 1
+  EXPECT_EQ(write(2048, 2048), reencodes(1));  // all of stripe 1
+  // Units 1-3 of stripe 0, all of stripe 1, and units 0-1 of stripe 2.
+  EXPECT_EQ(write(1000, 4000), reencodes(3));
+}
+
+TEST_F(ObjectWrite, TailStripeKeepsItsPadding) {
+  put(5000);  // the tail stripe holds 904 bytes: unit 0 and 392 of unit 1
+  EXPECT_EQ(write(4096 + 600, 100), patches(1));
+  EXPECT_EQ(write(4999, 1), patches(1));        // the object's last byte
+  EXPECT_EQ(write(4096 + 500, 20), reencodes(1));  // crosses units 0 and 1
+  EXPECT_EQ(store_.get("obj")->size(), 5000u);
+}
+
+TEST_F(ObjectWrite, UnknownNameAndPastTheEndThrow) {
+  const auto bytes = testutil::random_vector(101, 1);
+  EXPECT_THROW(store_.write("obj", 0, bytes), std::invalid_argument);
+  put(1000);
+  EXPECT_THROW(store_.write("nope", 0, bytes), std::invalid_argument);
+  EXPECT_THROW(store_.write("obj", 900, bytes), std::invalid_argument);
+  EXPECT_THROW(store_.write("obj", 1001, {}), std::invalid_argument);
+  EXPECT_THROW(store_.write("obj", SIZE_MAX, bytes), std::invalid_argument);
+  // An empty range up to the end is a no-op.
+  EXPECT_EQ(write(1000, 0), std::make_pair(std::uint64_t{0}, std::uint64_t{0}));
+}
+
+TEST_F(ObjectWrite, FailedNodeLosesItsUnitsNotTheWrite) {
+  put(3 * 2048);
+  // Stripes s sit on nodes s..s+5: node 1 holds units of stripes 0 and 1.
+  store_.fail_node(1);
+  ObjectLayout::PutResult res;
+  write(0, 3 * 2048, &res);
+  EXPECT_EQ(res.failed_stripes, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(store_.stats().degraded_reads, 2u);
+  // A small write needing a unit on node 1 re-encodes (degraded) instead,
+  // and the failed node's reads and writes never happen.
+  EXPECT_EQ(store_.placement("obj", 0)[1], 1u);
+  const std::uint64_t n = kParams.n();
+  EXPECT_EQ(write(kUnit + 10, 10, &res), std::make_pair(n - 1, n - 1));
+  EXPECT_EQ(res.failed_stripes, std::vector<std::size_t>{0});
+  EXPECT_EQ(*store_.get("obj"), oracle_);
+  store_.revive_node(1);
+  EXPECT_GT(store_.repair(), 0u);
+}
+
+TEST_F(ObjectWrite, CorruptUnitIsNotPatchedForward) {
+  put(3 * 2048);
+  // The small write finds its old unit corrupt and re-encodes from a
+  // degraded read instead of folding garbage into the parity.
+  ASSERT_TRUE(store_.corrupt_unit("obj", 1, 2));
+  write(2048 + 2 * kUnit + 5, 50);
+  EXPECT_GT(store_.stats().corruptions_detected, 0u);
+  EXPECT_EQ(store_.stats().degraded_reads, 1u);
+}
+
+TEST_F(ObjectWrite, WritesEqualOnePutOfTheOracle) {
+  put(5 * 2048 + 777);
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t offset = rng() % oracle_.size();
+    const std::size_t cap = i % 3 == 0 ? 2 * 2048 : kUnit;
+    write(offset, 1 + rng() % std::min(oracle_.size() - offset, cap));
+  }
+  StripeStore fresh(kParams, kUnit, kNodes);
+  fresh.put("obj", oracle_);
+  EXPECT_EQ(*store_.get("obj"), *fresh.get("obj"));
+  EXPECT_EQ(fresh.scrub(), 0u);
+}
+
+/// The degenerate codes: with k == 1 the patch would move all n units
+/// anyway, so the write re-encodes; with r == 0 it patches no parity.
+TEST(ObjectWriteCodes, OneDataUnitAndNoParity) {
+  for (const ec::CodeParams params :
+       {ec::CodeParams{1, 2, 8}, ec::CodeParams{3, 0, 8}}) {
+    StripeStore store(params, kUnit, params.n() + 1);
+    auto oracle = testutil::random_vector(5 * kUnit, params.k);
+    store.put("obj", oracle);
+    const auto bytes = testutil::random_vector(100, 9);
+    FaultInjector inj;
+    store.attach_fault_injector(&inj);
+    store.write("obj", kUnit + 30, bytes);
+    std::copy(bytes.begin(), bytes.end(), oracle.begin() + kUnit + 30);
+    EXPECT_EQ(inj.stats().reads, params.k == 1 ? params.n() : 1u);
+    EXPECT_EQ(inj.stats().writes, params.k == 1 ? params.n() : 1u);
+    EXPECT_EQ(*store.get("obj"), oracle);
+    EXPECT_EQ(store.scrub(), 0u);
+  }
+}
 
 }  // namespace
 }  // namespace tvmec::storage

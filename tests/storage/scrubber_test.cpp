@@ -7,7 +7,7 @@
 #include <string>
 
 #include "../test_util.h"
-#include "storage/raid_array.h"
+#include "block_array.h"
 #include "storage/stripe_store.h"
 
 namespace tvmec::storage {
@@ -130,15 +130,17 @@ TEST(Scrubber, EmptyStoreCompletesTrivialPasses) {
   EXPECT_EQ(scrub.passes_completed(), 1u);
 }
 
-TEST(Scrubber, RaidArrayPassVerifiesAndRepairs) {
-  RaidArray raid(ec::CodeParams{4, 2, 8}, kUnit, 8);
-  for (std::size_t lba = 0; lba < raid.capacity_blocks(); ++lba) {
+TEST(Scrubber, BlockArrayPassVerifiesAndRepairs) {
+  testutil::BlockArray a(ec::CodeParams{4, 2, 8}, kUnit, 8);
+  std::vector<std::uint8_t> oracle;
+  for (std::size_t lba = 0; lba < a.blocks; ++lba) {
     const auto block = testutil::random_vector(kUnit, lba);
-    raid.write_block(lba, block);
+    a.write_block(lba, block);
+    oracle.insert(oracle.end(), block.begin(), block.end());
   }
-  ASSERT_TRUE(raid.corrupt_unit(2, 1));
-  ASSERT_TRUE(raid.corrupt_unit(5, 4));
-  Scrubber scrub(raid);
+  ASSERT_TRUE(a.store.corrupt_unit(testutil::BlockArray::kDisk, 2, 1));
+  ASSERT_TRUE(a.store.corrupt_unit(testutil::BlockArray::kDisk, 5, 4));
+  Scrubber scrub(a.store);
   // Two increments that together cover the 8 stripes.
   const ScrubStats first = scrub.step(4);
   const ScrubStats second = scrub.step(8);
@@ -147,9 +149,8 @@ TEST(Scrubber, RaidArrayPassVerifiesAndRepairs) {
   EXPECT_EQ(first.units_repaired + second.units_repaired, 2u);
   EXPECT_EQ(scrub.passes_completed(), 1u);
   EXPECT_EQ(scrub.run().errors(), 0u);
-  EXPECT_EQ(raid.verify(), 0u);
-  for (std::size_t lba = 0; lba < raid.capacity_blocks(); ++lba)
-    EXPECT_EQ(raid.read_block(lba), testutil::random_vector(kUnit, lba));
+  EXPECT_EQ(a.store.scrub(), 0u);
+  EXPECT_EQ(a.disk(), oracle);
 }
 
 TEST(Scrubber, UnrecoverableStripeIsCountedNotThrown) {
@@ -167,62 +168,41 @@ TEST(Scrubber, UnrecoverableStripeIsCountedNotThrown) {
   EXPECT_EQ(store.get("obj01"), testutil::random_vector(4 * kUnit, 1));
 }
 
-/// Both scrub targets behind one face, so each scrub regression runs
-/// against StripeStore and RaidArray alike. The payload is one object
-/// (store) or consecutive zero-padded blocks of a one-stripe array.
+/// Both ways of filling a store behind one face, so each scrub
+/// regression runs against a put and against small writes alike. The
+/// payload is one object on n + 2 nodes ("StripeStore"), or one object on
+/// n nodes, put as zeros and then written unit by unit through
+/// ObjectLayout::write ("UnitWrites"), which takes the parity-patch path.
 class ScrubRig {
  public:
   ScrubRig(const std::string& target, const ec::CodeParams& params,
            std::size_t unit)
-      : unit_(unit) {
-    if (target == "StripeStore")
-      store_ = std::make_unique<StripeStore>(params, unit, params.n() + 2);
-    else
-      raid_ = std::make_unique<RaidArray>(params, unit, 1);
-  }
+      : unit_(unit),
+        unit_writes_(target == "UnitWrites"),
+        store_(params, unit, params.n() + (unit_writes_ ? 0 : 2)) {}
 
-  StripeLayout& layout() {
-    return store_ ? static_cast<StripeLayout&>(*store_) : *raid_;
-  }
+  StripeLayout& layout() { return store_; }
   void write(const std::vector<std::uint8_t>& payload) {
-    size_ = payload.size();
-    if (store_) {
-      store_->put("obj", payload);
+    if (!unit_writes_) {
+      store_.put("obj", payload);
       return;
     }
-    for (std::size_t lba = 0; lba * unit_ < size_; ++lba) {
-      std::vector<std::uint8_t> block(unit_, 0);
-      const std::size_t take = std::min(unit_, size_ - lba * unit_);
-      std::copy_n(payload.begin() + lba * unit_, take, block.begin());
-      raid_->write_block(lba, block);
+    store_.put("obj", std::vector<std::uint8_t>(payload.size(), 0));
+    for (std::size_t at = 0; at < payload.size(); at += unit_) {
+      const std::size_t take = std::min(unit_, payload.size() - at);
+      store_.write("obj", at,
+                   std::span<const std::uint8_t>(payload).subspan(at, take));
     }
   }
-  std::vector<std::uint8_t> read() {
-    if (store_) return *store_->get("obj");
-    std::vector<std::uint8_t> out;
-    for (std::size_t lba = 0; lba * unit_ < size_; ++lba) {
-      const auto block = raid_->read_block(lba);
-      out.insert(out.end(), block.begin(), block.end());
-    }
-    out.resize(size_);
-    return out;
-  }
-  bool corrupt(std::size_t unit) {
-    return store_ ? store_->corrupt_unit("obj", 0, unit)
-                  : raid_->corrupt_unit(0, unit);
-  }
-  void fail(std::size_t node) {
-    store_ ? store_->fail_node(node) : raid_->fail_device(node);
-  }
-  ScrubStats scrub() {
-    return store_ ? Scrubber(*store_).run() : Scrubber(*raid_).run();
-  }
+  std::vector<std::uint8_t> read() { return *store_.get("obj"); }
+  bool corrupt(std::size_t unit) { return store_.corrupt_unit("obj", 0, unit); }
+  void fail(std::size_t node) { store_.fail_node(node); }
+  ScrubStats scrub() { return Scrubber(store_).run(); }
 
  private:
   std::size_t unit_;
-  std::size_t size_ = 0;
-  std::unique_ptr<StripeStore> store_;
-  std::unique_ptr<RaidArray> raid_;
+  bool unit_writes_;
+  StripeStore store_;
 };
 
 class ScrubTransientTest : public ::testing::TestWithParam<const char*> {};
@@ -288,7 +268,7 @@ TEST_P(ScrubTransientTest, HealsCorruptionAfterHalfConsumedBurst) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Targets, ScrubTransientTest,
-                         ::testing::Values("StripeStore", "RaidArray"),
+                         ::testing::Values("StripeStore", "UnitWrites"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });

@@ -165,6 +165,41 @@ TEST_P(PolicyTest, AllTrialsFailingStillReturnsValidSchedule) {
   EXPECT_EQ(result.best_schedule, result.history.front().schedule);
 }
 
+TEST_P(PolicyTest, RetuneInstallsArgmaxOfIncumbentAndHistory) {
+  const SearchSpace space(shape(), 4);
+  TuneOptions opt;
+  opt.policy = GetParam();
+  opt.trials = 30;
+  const tensor::Schedule incumbent{};  // the Schedule member defaults
+  // The incumbent measures `score`; every other schedule as usual.
+  const auto measure_with = [&](double score) -> MeasureFn {
+    return [=](const tensor::Schedule& s) {
+      if (s == incumbent) {
+        if (score <= 0) throw std::runtime_error("incumbent unmeasurable");
+        return score;
+      }
+      return synthetic_objective(s);
+    };
+  };
+  for (const double score : {1e9, 1.0, 0.0}) {
+    const MeasureFn measure = measure_with(score);
+    const TuneResult search = tune(space, measure, opt);
+    const TuneResult result = tune(space, measure, opt, incumbent);
+    // The incumbent's measurement is not a trial.
+    ASSERT_EQ(result.history.size(), search.history.size());
+    for (std::size_t i = 0; i < search.history.size(); ++i)
+      EXPECT_EQ(result.history[i].schedule, search.history[i].schedule);
+    EXPECT_EQ(result.failed_trials, search.failed_trials);
+    // The best is the argmax over the incumbent and the history.
+    const bool incumbent_wins = score > search.best_throughput;
+    EXPECT_EQ(result.best_schedule,
+              incumbent_wins ? incumbent : search.best_schedule)
+        << score;
+    EXPECT_EQ(result.best_throughput,
+              incumbent_wins ? score : search.best_throughput);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyTest,
                          ::testing::Values(Policy::Grid, Policy::Random,
                                            Policy::Evolutionary,

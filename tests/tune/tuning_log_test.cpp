@@ -70,6 +70,21 @@ TEST(TuningLog, FailedTrialsAreNotLogged) {
   for (const auto& rec : loaded->history) EXPECT_GT(rec.throughput, 0.0);
 }
 
+TEST(TuningLog, KeptIncumbentIsLogged) {
+  TempFile tmp("tuning_log_incumbent.log");
+  const TaskShape shape{32, 2048, 80};
+  TuneResult result = sample_result();
+  result.best_schedule = tensor::Schedule{};  // no trial measured it
+  result.best_throughput = 9.0e9;
+  append_log(tmp.path, shape, result);
+
+  const auto loaded = load_log(tmp.path, shape);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->history.size(), 3u);
+  EXPECT_EQ(loaded->best_schedule, tensor::Schedule{});
+  EXPECT_DOUBLE_EQ(loaded->best_throughput, 9.0e9);
+}
+
 TEST(TuningLog, MissingFileReturnsNullopt) {
   EXPECT_FALSE(load_log("/nonexistent/dir/nope.log", TaskShape{1, 1, 1})
                    .has_value());
