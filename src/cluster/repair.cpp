@@ -1,7 +1,6 @@
 #include "cluster/repair.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "core/gemm_coder.h"
@@ -15,10 +14,6 @@ constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
 /// Pipelining granularity of every repair transfer on the wire.
 constexpr std::size_t kChunkBytes = 64 * 1024;
 
-void xor_into(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
-}
-
 }  // namespace
 
 std::size_t RepairPlan::hops() const noexcept {
@@ -30,7 +25,9 @@ std::size_t RepairPlan::hops() const noexcept {
 
 RepairCoordinator::RepairCoordinator(Cluster& cluster,
                                      const RepairConfig& config)
-    : cluster_(cluster), config_(config) {}
+    : cluster_(cluster),
+      config_(config),
+      slots_(cluster.params().n() * cluster.unit_size()) {}
 
 std::vector<std::size_t> RepairCoordinator::pick_replacements(
     const Stripe& loc, const std::vector<std::size_t>& erased) {
@@ -132,54 +129,33 @@ bool RepairCoordinator::transfer(std::size_t src, std::size_t dst,
   return true;
 }
 
-bool RepairCoordinator::execute_attempt(
-    Stripe& loc, const RepairPlan& plan,
-    std::vector<std::vector<std::uint8_t>>& recovered, RepairReport& report,
-    std::size_t* failed_node) {
+bool RepairCoordinator::execute_attempt(Stripe& loc, const RepairPlan& plan,
+                                        RepairReport& report,
+                                        std::size_t* failed_node) {
   *failed_node = kNoNode;
-  const std::size_t e = plan.erased.size();
-  const std::size_t unit = cluster_.unit_size();
-  const gf::Matrix& recovery = plan.decode->recovery;
+  const std::size_t msg = plan.erased.size() * cluster_.unit_size();
   const std::uint64_t root_in_before =
       cluster_.net().ingress_bytes(plan.root_node);
 
-  // One e-unit aggregate buffer per helper domain, XOR-accumulated.
-  std::vector<std::vector<std::uint8_t>> agg(
-      plan.domains.size(), std::vector<std::uint8_t>(e * unit, 0));
   std::vector<std::uint64_t> agg_ingress_us(plan.domains.size(), 0);
-
-  std::vector<std::uint8_t> unit_buf(unit);
-  std::vector<std::uint8_t> partial(e * unit);
   for (const auto& helper : plan.helpers) {
     // Local read at the helper (disk faults + CRC, retried).
-    if (cluster_.engine_.read_unit(loc, helper.unit, unit_buf.data()) !=
+    if (cluster_.engine_.read_unit(loc, helper.unit,
+                                   slot(helper.column)) !=
         storage::UnitRead::Ok) {
       *failed_node = helper.node;
       return false;
     }
-    // The helper's slice of the recovery matrix: an e x 1 coefficient
-    // column, lowered through the same bitmatrix->GEMM path as every
-    // other coding op and applied zero-copy to its local unit.
-    gf::Matrix column(recovery.field(), e, 1);
-    for (std::size_t i = 0; i < e; ++i)
-      column.set(i, 0, recovery.at(i, helper.column));
-    core::GemmCoder coder(column);
-    const std::uint8_t* in_ptr = unit_buf.data();
-    std::vector<std::uint8_t*> out_ptrs(e);
-    for (std::size_t i = 0; i < e; ++i) out_ptrs[i] = partial.data() + i * unit;
-    const core::ScatteredCoderItem item{{&in_ptr, 1}, out_ptrs, unit};
-    coder.apply_scattered({&item, 1});
-
     const std::size_t d = static_cast<std::size_t>(
         std::find(plan.domains.begin(), plan.domains.end(), helper.domain) -
         plan.domains.begin());
     if (helper.node != plan.aggregators[d]) {
-      // Ship the partial one (intra-domain) hop. Duplicate deliveries
-      // are idempotent: the aggregator folds each helper's partial in
-      // exactly once, however many copies arrive.
+      // Ship the e-unit partial one (intra-domain) hop. Duplicate
+      // deliveries are idempotent: the aggregator folds each helper's
+      // partial in exactly once, however many copies arrive.
       std::uint64_t ser = 0;
       if (!transfer(
-              helper.node, plan.aggregators[d], e * unit,
+              helper.node, plan.aggregators[d], msg,
               storage::FaultInjector::key(loc.name, loc.index, helper.unit),
               &ser)) {
         *failed_node = helper.node;
@@ -188,16 +164,14 @@ bool RepairCoordinator::execute_attempt(
       agg_ingress_us[d] += ser;
       ++report.hops;
     }
-    xor_into(agg[d].data(), partial.data(), e * unit);
   }
 
   // Cross-domain stage: each domain aggregate crosses to the root, whose
   // ingress link serializes the arrivals.
-  std::vector<std::uint8_t> total(e * unit, 0);
   std::uint64_t root_ingress_us = 0;
   for (std::size_t d = 0; d < plan.domains.size(); ++d) {
     std::uint64_t ser = 0;
-    if (!transfer(plan.aggregators[d], plan.root_node, e * unit,
+    if (!transfer(plan.aggregators[d], plan.root_node, msg,
                   storage::FaultInjector::key(loc.name, loc.index, 500 + d),
                   &ser)) {
       *failed_node = plan.aggregators[d];
@@ -205,7 +179,6 @@ bool RepairCoordinator::execute_attempt(
     }
     root_ingress_us += ser;
     ++report.hops;
-    xor_into(total.data(), agg[d].data(), e * unit);
   }
 
   // Pipelined makespan: intra-domain aggregation overlaps the root's
@@ -215,29 +188,22 @@ bool RepairCoordinator::execute_attempt(
       agg_ingress_us.empty()
           ? 0
           : *std::max_element(agg_ingress_us.begin(), agg_ingress_us.end());
-  std::uint64_t makespan = std::max(stage1, root_ingress_us) +
-                           2 * cluster_.net().config().base_latency_us;
+  const std::uint64_t makespan = std::max(stage1, root_ingress_us) +
+                                 2 * cluster_.net().config().base_latency_us;
 
-  // GF-linearity delivered the decode: total == recovery * survivors,
-  // byte-identical to decoding at the root. Verify against the metadata
-  // checksums before anything is persisted.
-  recovered.assign(e, std::vector<std::uint8_t>(unit));
-  for (std::size_t i = 0; i < e; ++i) {
-    std::memcpy(recovered[i].data(), total.data() + i * unit, unit);
-    if (storage::crc32c(recovered[i]) != loc.unit_crcs[plan.erased[i]]) {
-      *failed_node = kNoNode;  // nothing to exclude; re-plan retries clean
-      return false;
-    }
-  }
+  // The sum of the helpers' partials, computed once: by GF-linearity it
+  // is the root decode itself.
+  if (!decode_verified(loc, *plan.decode))
+    return false;  // nothing to exclude; re-plan retries clean
   report.makespan_us += makespan;
   report.root_ingress_bytes +=
       cluster_.net().ingress_bytes(plan.root_node) - root_in_before;
   return true;
 }
 
-bool RepairCoordinator::execute_naive(
-    Stripe& loc, const StripeDamage& damage, std::size_t root_node,
-    std::vector<std::vector<std::uint8_t>>& recovered, RepairReport& report) {
+bool RepairCoordinator::execute_naive(Stripe& loc, const StripeDamage& damage,
+                                      std::size_t root_node,
+                                      RepairReport& report) {
   const std::size_t k = cluster_.params().k;
   const std::size_t unit = cluster_.unit_size();
   const std::uint64_t root_in_before = cluster_.net().ingress_bytes(root_node);
@@ -245,13 +211,11 @@ bool RepairCoordinator::execute_naive(
   // Haul whole survivor units to the root until k are in hand. The
   // root's ingress link serializes every transfer — the star-topology
   // cost the DAG exists to avoid.
-  std::vector<std::size_t> fetched_ids;
-  std::vector<std::vector<std::uint8_t>> fetched;
+  std::vector<std::size_t> fetched;  // unit id in each filled slot
   std::uint64_t root_ingress_us = 0;
   for (const std::size_t uid : damage.survivors) {
-    if (fetched_ids.size() == k) break;
-    std::vector<std::uint8_t> buf(unit);
-    if (cluster_.engine_.read_unit(loc, uid, buf.data()) !=
+    if (fetched.size() == k) break;
+    if (cluster_.engine_.read_unit(loc, uid, slot(fetched.size())) !=
         storage::UnitRead::Ok)
       continue;
     std::uint64_t ser = 0;
@@ -261,36 +225,38 @@ bool RepairCoordinator::execute_naive(
       continue;
     root_ingress_us += ser;
     ++report.hops;
-    fetched_ids.push_back(uid);
-    fetched.push_back(std::move(buf));
+    fetched.push_back(uid);
   }
-  if (fetched_ids.size() < k) return false;
+  if (fetched.size() < k) return false;
 
-  // Decode only the erased units, from exactly the fetched survivors.
-  const auto plan = cluster_.codec().plan(damage.erased, fetched_ids);
-  if (!plan) return false;
-
-  const std::size_t e = damage.erased.size();
-  std::vector<const std::uint8_t*> in_ptrs;
-  for (const std::size_t uid : plan->survivors) {
-    const auto it = std::find(fetched_ids.begin(), fetched_ids.end(), uid);
-    in_ptrs.push_back(
-        fetched[static_cast<std::size_t>(it - fetched_ids.begin())].data());
-  }
-  recovered.assign(e, std::vector<std::uint8_t>(unit));
-  std::vector<std::uint8_t*> out_ptrs(e);
-  for (std::size_t i = 0; i < e; ++i) out_ptrs[i] = recovered[i].data();
-  core::GemmCoder coder(plan->recovery);
-  const core::ScatteredCoderItem item{in_ptrs, out_ptrs, unit};
-  coder.apply_scattered({&item, 1});
-
-  for (std::size_t i = 0; i < e; ++i)
-    if (storage::crc32c(recovered[i]) != loc.unit_crcs[damage.erased[i]])
-      return false;
+  // Decode only the erased units, from exactly the fetched survivors
+  // (an MDS plan reads all k, so slot j holds plan->survivors[j]).
+  const auto plan = cluster_.codec().plan(damage.erased, fetched);
+  if (!plan || plan->survivors != fetched || !decode_verified(loc, *plan))
+    return false;
   report.makespan_us += root_ingress_us +
                         2 * cluster_.net().config().base_latency_us;
   report.root_ingress_bytes +=
       cluster_.net().ingress_bytes(root_node) - root_in_before;
+  return true;
+}
+
+bool RepairCoordinator::decode_verified(const Stripe& loc,
+                                        const ec::DecodePlan& plan) {
+  const std::size_t unit = cluster_.unit_size();
+  const std::size_t k = cluster_.params().k;
+  std::vector<const std::uint8_t*> in;
+  for (std::size_t j = 0; j < plan.survivors.size(); ++j)
+    in.push_back(slot(j));
+  std::vector<std::uint8_t*> out;
+  for (std::size_t i = 0; i < plan.erased.size(); ++i)
+    out.push_back(slot(k + i));
+  const core::ScatteredCoderItem item{in, out, unit};
+  core::GemmCoder(plan.recovery).apply_scattered({&item, 1});
+  // Verify against the metadata checksums before anything is persisted.
+  for (std::size_t i = 0; i < plan.erased.size(); ++i)
+    if (storage::crc32c({out[i], unit}) != loc.unit_crcs[plan.erased[i]])
+      return false;
   return true;
 }
 
@@ -312,15 +278,14 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
   const NetStats net_before = cluster_.net().stats();
   const auto links_before = cluster_.net().link_bytes_map();
 
-  // Persists `recovered` (CRC-verified) onto the replacement nodes,
-  // shipping each unit root -> replacement when they differ; updates
-  // placement metadata. Returns false when a replacement dies receiving
-  // its unit (the outer loop then re-plans — re-assessment drops any
-  // units already persisted).
+  // Persists the rebuilt units (CRC-verified) onto the replacement
+  // nodes, shipping each unit root -> replacement when they differ;
+  // updates placement metadata. Returns false when a replacement dies
+  // receiving its unit (the outer loop then re-plans — re-assessment
+  // drops any units already persisted).
   const auto store_recovered =
       [&](const std::vector<std::size_t>& erased,
-          const std::vector<std::size_t>& replacements, std::size_t root,
-          std::vector<std::vector<std::uint8_t>>& recovered) {
+          const std::vector<std::size_t>& replacements, std::size_t root) {
         for (std::size_t i = 0; i < erased.size(); ++i) {
           const std::size_t uid = erased[i];
           const std::size_t target = replacements[i];
@@ -337,7 +302,8 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
           // engine (write faults apply; no client hop — it arrived above).
           const std::size_t prev = loc.nodes[uid];
           loc.nodes[uid] = target;
-          if (!cluster_.engine_.store_unit(loc, uid, recovered[i].data())) {
+          if (!cluster_.engine_.store_unit(loc, uid,
+                                           slot(cluster_.params().k + i))) {
             loc.nodes[uid] = prev;
             return false;
           }
@@ -352,10 +318,17 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
   std::size_t replans = 0;
   bool completed = false;
   bool any_attempt = false;
+  // `damage` is the last assessment. An attempt may change the stripe (a
+  // partial store, a crashed helper), so the step after one re-assesses.
+  bool stale = false;
+  const auto damaged = [&] {
+    if (stale) damage = assess_stripe(loc);
+    stale = false;
+    return !damage.erased.empty();
+  };
 
   while (config_.dag_enabled) {
-    damage = assess_stripe(loc);
-    if (damage.erased.empty()) {
+    if (!damaged()) {
       // A re-planned pass found earlier partial stores finished the job.
       completed = true;
       break;
@@ -371,18 +344,16 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
 
     ++stats_.attempts_started;
     any_attempt = true;
+    stale = true;
     std::size_t failed_node = kNoNode;
-    std::vector<std::vector<std::uint8_t>> recovered;
-    if (execute_attempt(loc, *plan, recovered, report,
-                        &failed_node) &&
-        store_recovered(damage.erased, replacements, plan->root_node,
-                        recovered)) {
+    if (execute_attempt(loc, *plan, report, &failed_node) &&
+        store_recovered(damage.erased, replacements, plan->root_node)) {
       ++stats_.attempts_completed;
       completed = true;
       break;
     }
-    // Mid-DAG failure: discard partials (nothing half-aggregated
-    // survives), exclude the dead helper, re-plan.
+    // Mid-DAG failure: discard the attempt's reads (the next attempt
+    // refills every slot it uses), exclude the dead helper, re-plan.
     if (failed_node != kNoNode) excluded[failed_node] = true;
     ++report.replans;
     if (replans < config_.max_replans) {
@@ -397,8 +368,7 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
   }
 
   if (!completed) {
-    damage = assess_stripe(loc);
-    if (damage.erased.empty()) {
+    if (!damaged()) {
       completed = true;
     } else {
       const auto replacements = pick_replacements(loc, damage.erased);
@@ -406,11 +376,8 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
           damage.survivors.size() >= cluster_.params().k) {
         ++stats_.attempts_started;
         any_attempt = true;
-        std::vector<std::vector<std::uint8_t>> recovered;
-        if (execute_naive(loc, damage, replacements[0], recovered,
-                          report) &&
-            store_recovered(damage.erased, replacements, replacements[0],
-                            recovered)) {
+        if (execute_naive(loc, damage, replacements[0], report) &&
+            store_recovered(damage.erased, replacements, replacements[0])) {
           ++stats_.attempts_completed;
           ++stats_.naive_fallbacks;
           report.used_naive = true;

@@ -6,18 +6,22 @@
 
 #include "cluster/cluster.h"
 #include "ec/decoder.h"
+#include "tensor/buffer.h"
 
 /// DAG-based repair with partial aggregation at helper nodes — the
 /// ECDAG discipline: instead of hauling k full survivor units to one
-/// repairer (the naive star), each helper applies its slice of the
-/// recovery matrix locally (an e x 1 GF coefficient column, lowered
-/// through the same bitmatrix->GEMM path as every other coding op; the
-/// plan comes from Codec::plan, keyed by the survivor preference), ships
-/// the e-unit partial one hop to its failure domain's aggregator, which
-/// XORs its domain's partials into one e-unit message before crossing
-/// domains to the repair root. GF-linearity makes the result
-/// byte-identical to decoding at the root: the recovery matrix product
-/// R * S is just a sum of per-column terms, and XOR is that sum.
+/// repairer (the naive star), each helper turns its local unit into an
+/// e-unit partial with its e x 1 column of the recovery matrix (from
+/// Codec::plan, keyed by the survivor preference) and ships it one hop
+/// to its failure domain's aggregator, which sums its domain's partials
+/// into one e-unit message for the repair root.
+///
+/// The partials are modeled on the wire — every transfer, hop and fault
+/// happens — but their sum is computed once, at the root, as one GEMM of
+/// the whole recovery matrix over the units the helpers read.
+/// GF-linearity makes the two byte-identical: R * S is the XOR of its
+/// per-column terms (RepairDag.HelperPartialsComposeToTheRootDecode).
+/// The naive fallback decodes through the same step.
 ///
 /// Traffic shape (MDS, full-unit helpers): total payload bytes moved are
 /// the same k column-terms either way — the win is *where* they move.
@@ -29,11 +33,12 @@
 ///
 /// Robustness: each attempt is all-or-nothing. A helper that crashes,
 /// times out (retry exhaustion), or serves corrupt bytes mid-DAG aborts
-/// the attempt; the coordinator re-plans around the dead helper
-/// (partials are discarded, so byte-identity is preserved — nothing
-/// half-aggregated survives into the next attempt), up to max_replans,
-/// then degrades gracefully to the naive k-unit fetch, and only then
-/// abandons. Counter identity:
+/// the attempt; the coordinator re-plans around the dead helper (the
+/// attempt's reads are discarded, so nothing half-aggregated survives
+/// into the next attempt), up to max_replans, then degrades gracefully
+/// to the naive k-unit fetch, and only then abandons. The stripe is
+/// assessed (every stored unit CRC-checked) once per attempt. Counter
+/// identity:
 ///   attempts_started == attempts_completed + attempts_replanned
 ///                       + attempts_abandoned.
 namespace tvmec::cluster {
@@ -163,18 +168,24 @@ class RepairCoordinator {
                                        const std::vector<bool>& excluded,
                                        std::size_t root_node);
 
-  /// Runs one DAG attempt. Returns true on success; on false,
-  /// `failed_node` names the helper to exclude from the re-plan.
+  /// Runs one DAG attempt, leaving the rebuilt units in slots k...
+  /// Returns true on success; on false, `failed_node` names the helper
+  /// to exclude from the re-plan.
   bool execute_attempt(Stripe& loc, const RepairPlan& plan,
-                       std::vector<std::vector<std::uint8_t>>& recovered,
                        RepairReport& report, std::size_t* failed_node);
 
   /// The graceful-degradation path: root fetches k survivor units and
-  /// decodes locally. Same verification and accounting.
+  /// decodes locally. Same decode, verification and accounting.
   bool execute_naive(Stripe& loc, const StripeDamage& damage,
-                     std::size_t root_node,
-                     std::vector<std::vector<std::uint8_t>>& recovered,
-                     RepairReport& report);
+                     std::size_t root_node, RepairReport& report);
+
+  /// One GEMM of the plan's recovery matrix over slots 0.. (slot j holds
+  /// unit plan.survivors[j]) into slots k.., each rebuilt unit then
+  /// checked against its stored CRC.
+  bool decode_verified(const Stripe& loc, const ec::DecodePlan& plan);
+  std::uint8_t* slot(std::size_t j) {
+    return slots_.data() + j * cluster_.unit_size();
+  }
 
   /// Chunked transfer of `bytes` from src to dst with retries; fills
   /// serialized (sum of chunk latencies) for the makespan model.
@@ -184,6 +195,9 @@ class RepairCoordinator {
   Cluster& cluster_;
   RepairConfig config_;
   RepairStats stats_;
+  /// n unit slots reused across stripes: the k survivor units the
+  /// helpers read, then up to r rebuilt units awaiting their stores.
+  tensor::AlignedBuffer<std::uint8_t> slots_;
 };
 
 }  // namespace tvmec::cluster

@@ -20,16 +20,8 @@ ObjectLayout::PutResult ObjectLayout::put(const std::string& name,
                                           std::span<const std::uint8_t> bytes) {
   remove(name);
   const std::size_t n = params().n();
-  const std::size_t unit = unit_size();
-  const std::size_t stripe_data = params().k * unit;
+  const std::size_t stripe_data = params().k * unit_size();
   const std::size_t num_stripes = stripe_count(bytes.size());
-
-  // Parity always lands in the staging stripe's parity units; a full
-  // stripe's data units are read in place from the caller's bytes.
-  std::vector<const std::uint8_t*> data(params().k);
-  std::vector<std::uint8_t*> parity(params().r);
-  for (std::size_t i = 0; i < parity.size(); ++i)
-    parity[i] = stripe_.data() + (params().k + i) * unit;
 
   PutResult res;
   for (std::size_t s = 0; s < num_stripes; ++s) {
@@ -40,18 +32,7 @@ ObjectLayout::PutResult ObjectLayout::put(const std::string& name,
 
     const std::size_t off = s * stripe_data;
     const std::size_t len = std::min(stripe_data, bytes.size() - off);
-    const std::uint8_t* src = bytes.data() + off;
-    if (len == stripe_data) {
-      for (std::size_t u = 0; u < data.size(); ++u) data[u] = src + u * unit;
-      engine_.codec().encode_scattered(data, parity, unit);
-    } else {
-      // The tail stripe: zero-padded in staging, encoded contiguously.
-      std::memcpy(stripe_.data(), src, len);
-      std::memset(stripe_.data() + len, 0, stripe_data - len);
-      engine_.encode(stripe_.data());
-      src = stripe_.data();
-    }
-
+    const std::uint8_t* src = encode_stripe(bytes.data() + off, len);
     store_units(engine_.add_stripe(name, s, std::move(nodes)), src, 0,
                 params().k, res);
   }
@@ -81,6 +62,10 @@ ObjectLayout::PutResult ObjectLayout::write(
     const auto src = bytes.subspan(done, len);
     done += len;
     StripeEngine::Stripe& st = *engine_.find_stripe(name, s);
+    if (len == stripe_data) {  // every data unit is new: nothing to read
+      store_units(st, encode_stripe(src.data(), len), 0, params().k, res);
+      continue;
+    }
     const std::size_t u = at / unit;
     if (u == (at + len - 1) / unit && patch_unit(st, u, at % unit, src, res))
       continue;
@@ -115,6 +100,24 @@ bool ObjectLayout::patch_unit(StripeEngine::Stripe& st, std::size_t u,
                                stripe_.span().subspan(k * unit), unit);
   store_units(st, stripe_.data(), u, u + 1, res);
   return true;
+}
+
+const std::uint8_t* ObjectLayout::encode_stripe(const std::uint8_t* src,
+                                                std::size_t len) {
+  const std::size_t k = params().k;
+  const std::size_t unit = unit_size();
+  if (len < k * unit) {  // the tail stripe: zero-padded in staging
+    std::memcpy(stripe_.data(), src, len);
+    std::memset(stripe_.data() + len, 0, k * unit - len);
+    src = stripe_.data();
+  }
+  std::vector<const std::uint8_t*> data(k);
+  std::vector<std::uint8_t*> parity(params().r);
+  for (std::size_t u = 0; u < k; ++u) data[u] = src + u * unit;
+  for (std::size_t i = 0; i < parity.size(); ++i)
+    parity[i] = stripe_.data() + (k + i) * unit;
+  engine_.codec().encode_scattered(data, parity, unit);
+  return src;
 }
 
 void ObjectLayout::store_units(StripeEngine::Stripe& st,

@@ -122,6 +122,10 @@ class ObjectLayout : public StripeLayout {
   /// does not read clean.
   bool patch_unit(StripeEngine::Stripe& st, std::size_t u, std::size_t at,
                   std::span<const std::uint8_t> src, PutResult& res);
+  /// Encodes the `len` data bytes at `src` into stripe_'s parity units,
+  /// in place when they fill k units, else zero-padded in stripe_.
+  /// Returns where the k data units are.
+  const std::uint8_t* encode_stripe(const std::uint8_t* src, std::size_t len);
   /// Stores data units [first, last) from `data` (unit u at data +
   /// u*unit_size) and the r parity units from stripe_, recording the
   /// stripe in res.failed_stripes when a unit was not stored.

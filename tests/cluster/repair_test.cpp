@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "../test_util.h"
 #include "cluster/cluster.h"
+#include "core/gemm_coder.h"
 #include "core/plan_cache.h"
+#include "core/tvmec.h"
 #include "storage/fault_injector.h"
 
 namespace tvmec::cluster {
@@ -195,6 +198,39 @@ TEST(RepairDag, HelperLossMidDagReplansToByteIdenticalCompletion) {
   EXPECT_NE(cluster.placement("obj", 0)[1], lost_helper);
 }
 
+TEST(RepairDag, ReplanReassessesUnitsStoredByTheFailedAttempt) {
+  // Two units lost. The attempt rebuilds both at the root, stores the
+  // first in place there, and cannot ship the second to its replacement
+  // (every link out of the root is partitioned). The re-plan must see
+  // the stored unit as repaired and rebuild only the other.
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(9, 3));
+  const auto payload = testutil::random_vector(4 * kUnit, 75);
+  cluster.put("obj", payload);
+  cluster.fail_node(cluster.placement("obj", 0)[0]);
+  cluster.fail_node(cluster.placement("obj", 0)[1]);
+
+  storage::FaultInjector inj;
+  cluster.attach_fault_injector(&inj);
+  const auto plan = cluster.repairer().plan_stripe("obj", 0);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->erased.size(), 2u);
+  for (std::size_t node = 0; node < cluster.num_nodes(); ++node)
+    inj.partition_link(
+        storage::FaultInjector::key("link", plan->root_node, node), 64);
+
+  const RepairReport report = cluster.repairer().repair_stripe("obj", 0);
+  EXPECT_TRUE(report.completed);
+  EXPECT_FALSE(report.used_naive);
+  EXPECT_GE(report.replans, 1u);
+  EXPECT_EQ(report.units_repaired, 2u);  // each lost unit stored once
+  EXPECT_TRUE(cluster.repair_stats().identity_holds());
+  for (std::size_t node = 0; node < cluster.num_nodes(); ++node)
+    inj.heal_link(storage::FaultInjector::key("link", plan->root_node, node));
+  const std::size_t degraded_before = cluster.stats().degraded_reads;
+  EXPECT_EQ(*cluster.get("obj"), payload);
+  EXPECT_EQ(cluster.stats().degraded_reads, degraded_before);
+}
+
 TEST(RepairDag, FallsBackToNaiveWhenReplanBudgetExhausted) {
   Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(9, 3));
   const auto payload = testutil::random_vector(4 * kUnit, 73);
@@ -285,6 +321,133 @@ TEST(RepairDag, SeededChaosKeepsEveryCounterIdentity) {
   const auto got = cluster.get("obj");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, payload);
+}
+
+TEST(RepairDag, RevivedNodeRepairTrafficIsPinned) {
+  // Every traffic figure of three fixed-seed repairs of a revived node's
+  // units: clean, under seeded read and link faults (one re-plan), and
+  // through the naive star. Where the decode arithmetic runs is not
+  // modeled on the wire, so moving it may not move a byte, a hop or a
+  // modeled microsecond.
+  Cluster cluster(ec::CodeParams{10, 4, 8}, kUnit, make_config(16, 4));
+  const auto payload = [](std::size_t i) {
+    return testutil::random_vector(3 * 10 * kUnit, 97 + i);
+  };
+  for (std::size_t i = 0; i < 6; ++i)
+    cluster.put("obj-" + std::to_string(i), payload(i));
+  // Cumulative repair counters after each phase: units rebuilt by that
+  // phase's repair(), then started, re-planned, naive, units repaired,
+  // wire bytes, cross-domain bytes, hops, makespan.
+  struct Pin {
+    std::size_t rebuilt;
+    std::uint64_t started, replanned, naive, units, wire, cross, hops,
+        makespan_us;
+  };
+  const auto revive_and_repair = [&](const std::string& name, std::size_t s,
+                                     std::size_t u, const Pin& pin) {
+    const std::size_t victim = cluster.placement(name, s)[u];
+    cluster.fail_node(victim);
+    cluster.revive_node(victim);
+    EXPECT_EQ(cluster.repair(), pin.rebuilt);
+    const RepairStats& rs = cluster.repair_stats();
+    EXPECT_TRUE(rs.identity_holds());
+    EXPECT_EQ(rs.attempts_started, pin.started);
+    EXPECT_EQ(rs.attempts_replanned, pin.replanned);
+    EXPECT_EQ(rs.naive_fallbacks, pin.naive);
+    EXPECT_EQ(rs.units_repaired, pin.units);
+    EXPECT_EQ(rs.bytes_on_wire, pin.wire);
+    EXPECT_EQ(rs.cross_domain_bytes, pin.cross);
+    EXPECT_EQ(rs.hops, pin.hops);
+    EXPECT_EQ(rs.makespan_us_total, pin.makespan_us);
+  };
+
+  revive_and_repair("obj-0", 0, 3,
+                    {16, 16, 0, 0, 16, 81920, 20480, 160, 12680});
+
+  storage::FaultPolicy policy;
+  policy.transient_read = 0.05;
+  policy.link_drop = 0.05;
+  policy.link_duplicate = 0.02;
+  storage::FaultInjector inj(policy, 0xD1CE);
+  cluster.attach_fault_injector(&inj);
+  revive_and_repair("obj-2", 1, 7,
+                    {15, 32, 1, 0, 31, 163328, 40448, 310, 25205});
+
+  RepairConfig naive;
+  naive.dag_enabled = false;
+  cluster.set_repair_config(naive);
+  revive_and_repair("obj-4", 2, 12,
+                    {16, 48, 1, 16, 47, 252928, 105984, 470, 64630});
+
+  inj.set_policy(storage::FaultPolicy{});
+  for (std::size_t i = 0; i < 6; ++i)
+    EXPECT_EQ(*cluster.get("obj-" + std::to_string(i)), payload(i));
+}
+
+TEST(RepairDag, HelperPartialsComposeToTheRootDecode) {
+  // The DAG models each helper shipping its e x 1 recovery-column term
+  // and the aggregators summing them; repair computes the sum once, as
+  // one GEMM of the whole recovery matrix at the root. GF-linearity says
+  // the two agree byte for byte, and both rebuild the lost units.
+  constexpr std::size_t unit = 4096;
+  const auto check = [](const core::Codec& codec,
+                        const std::vector<std::size_t>& erased,
+                        std::uint64_t seed) {
+    SCOPED_TRACE(::testing::Message() << "erased " << erased.size()
+                                      << " first " << erased[0]);
+    const auto& p = codec.params();
+    auto stripe = testutil::random_bytes(p.n() * unit, seed);
+    std::vector<const std::uint8_t*> data(p.k);
+    std::vector<std::uint8_t*> parity(p.r);
+    for (std::size_t i = 0; i < p.k; ++i) data[i] = stripe.data() + i * unit;
+    for (std::size_t i = 0; i < p.r; ++i)
+      parity[i] = stripe.data() + (p.k + i) * unit;
+    codec.encode_scattered(data, parity, unit);
+
+    const auto plan = codec.plan(erased);
+    ASSERT_NE(plan, nullptr);
+    const std::size_t e = erased.size();
+    const gf::Matrix& recovery = plan->recovery;
+    std::vector<std::uint8_t> sum(e * unit, 0), partial(e * unit);
+    std::vector<std::uint8_t*> partial_out(e);
+    for (std::size_t i = 0; i < e; ++i) partial_out[i] = partial.data() + i * unit;
+    for (std::size_t c = 0; c < plan->survivors.size(); ++c) {
+      gf::Matrix column(recovery.field(), e, 1);
+      for (std::size_t i = 0; i < e; ++i)
+        column.set(i, 0, recovery.at(i, c));
+      const std::uint8_t* in = stripe.data() + plan->survivors[c] * unit;
+      const core::ScatteredCoderItem item{{&in, 1}, partial_out, unit};
+      core::GemmCoder(column).apply_scattered({&item, 1});
+      for (std::size_t b = 0; b < sum.size(); ++b) sum[b] ^= partial[b];
+    }
+
+    std::vector<const std::uint8_t*> in(plan->survivors.size());
+    for (std::size_t c = 0; c < in.size(); ++c)
+      in[c] = stripe.data() + plan->survivors[c] * unit;
+    std::vector<std::uint8_t> root(e * unit);
+    std::vector<std::uint8_t*> root_out(e);
+    for (std::size_t i = 0; i < e; ++i) root_out[i] = root.data() + i * unit;
+    const core::ScatteredCoderItem item{in, root_out, unit};
+    core::GemmCoder(recovery).apply_scattered({&item, 1});
+
+    EXPECT_EQ(sum, root);
+    for (std::size_t i = 0; i < e; ++i)
+      EXPECT_TRUE(std::equal(root.begin() + i * unit,
+                             root.begin() + (i + 1) * unit,
+                             stripe.data() + erased[i] * unit));
+  };
+
+  const core::Codec rs(ec::CodeParams{10, 4, 8});
+  check(rs, {3}, 101);
+  check(rs, {0, 11}, 102);
+  check(rs, {1, 5, 10, 13}, 103);
+  // LRC(12, 2, 2): a single data loss plans from its local group, a
+  // double loss through the globals.
+  const core::Codec lrc(ec::LrcParams{12, 2, 2, 8});
+  check(lrc, {4}, 104);
+  check(lrc, {12}, 105);
+  check(lrc, {2, 9}, 106);
+  check(lrc, {0, 1, 15}, 107);
 }
 
 }  // namespace

@@ -762,16 +762,50 @@ TEST(Watchdog, ClientCancelAbortsRunningBatch) {
 }
 
 TEST(Watchdog, StuckWorkerSurfacesInHealth) {
-  const SlowShape& shape = slow_shape();
+  // Encode work per byte grows with k * r: this code does 25x the heavy
+  // key's, so a kernel ten times the stuck budget fits in a small unit.
+  constexpr CodecKey kKey{32, 32, 16, ec::RsFamily::CauchyGood};
   ServiceConfig cfg;
   cfg.num_workers = heavy_workers();
   cfg.watchdog.poll = std::chrono::milliseconds(1);
   cfg.watchdog.stuck_budget = std::chrono::milliseconds(20);
   EcService service(cfg);
-  const Bytes data = testutil::random_bytes(kHeavyKey.k * shape.unit, 34);
-  Bytes parity(kHeavyKey.r * shape.unit);
+
+  // Size the kernel on this service: double the unit until the fastest of
+  // three encodes outlasts the stuck budget ten times over. The fastest
+  // run bounds what a quiet host does, so a stall while sizing cannot
+  // pick a unit whose kernel later finishes inside the budget.
+  std::size_t unit = std::size_t(1) << 11;
+  std::chrono::nanoseconds fastest{};
+  Bytes data, parity;
+  do {
+    unit *= 2;
+    data = testutil::random_bytes(kKey.k * unit, 34);
+    parity = Bytes(kKey.r * unit);
+    fastest = std::chrono::nanoseconds::max();
+    for (int i = 0; i < 3; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      ASSERT_EQ(service.submit_encode(kKey, data.span(), parity.span(),
+                                      unit)
+                    .wait()
+                    .status,
+                RequestStatus::Ok);
+      fastest = std::min<std::chrono::nanoseconds>(
+          fastest, std::chrono::steady_clock::now() - t0);
+    }
+  } while (fastest < 10 * cfg.watchdog.stuck_budget &&
+           unit < (std::size_t(1) << 20));
+  // Sizing may itself have tripped the budget: start from a healthy
+  // service and count only the checked request's episode.
+  const auto settle_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (service.health().state != HealthState::Ok &&
+         std::chrono::steady_clock::now() < settle_by)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_EQ(service.health().state, HealthState::Ok);
+  const std::uint64_t stuck_before = service.stats().watchdog_stuck;
   EcFuture f =
-      service.submit_encode(kHeavyKey, data.span(), parity.span(), shape.unit);
+      service.submit_encode(kKey, data.span(), parity.span(), unit);
 
   // The (legitimately slow) kernel blows the 20ms stuck budget: health
   // degrades with a stuck-worker reason while it runs.
@@ -793,7 +827,7 @@ TEST(Watchdog, StuckWorkerSurfacesInHealth) {
 
   // The request itself is fine — stuck is a health signal, not an abort.
   EXPECT_EQ(f.wait().status, RequestStatus::Ok);
-  EXPECT_GE(service.stats().watchdog_stuck, 1u);
+  EXPECT_GT(service.stats().watchdog_stuck, stuck_before);
 
   // The flag clears with the batch; health recovers.
   const auto recover_by =

@@ -241,7 +241,9 @@ class ObjectWrite : public ::testing::Test {
     return {inj_.stats().reads - before.reads,
             inj_.stats().writes - before.writes};
   }
-  /// `stripes` small writes (1 + r units each) or whole-stripe rewrites.
+  /// `stripes` small writes (1 + r units each), re-encodes of a partly
+  /// written stripe (n reads, n writes), or whole-stripe writes (nothing
+  /// read: every data unit is new).
   static std::pair<std::uint64_t, std::uint64_t> patches(std::size_t stripes) {
     const std::uint64_t io = stripes * (1 + kParams.r);
     return {io, io};
@@ -250,6 +252,10 @@ class ObjectWrite : public ::testing::Test {
       std::size_t stripes) {
     const std::uint64_t io = stripes * kParams.n();
     return {io, io};
+  }
+  static std::pair<std::uint64_t, std::uint64_t> rewrites(
+      std::size_t stripes) {
+    return {0, stripes * kParams.n()};
   }
 
   FaultInjector inj_;
@@ -276,9 +282,11 @@ TEST_F(ObjectWrite, StripeBoundaryWritePatchesEachStripe) {
 TEST_F(ObjectWrite, MultiUnitWriteReencodes) {
   put(3 * 2048);
   EXPECT_EQ(write(300, 600), reencodes(1));  // units 0 and 1
-  EXPECT_EQ(write(2048, 2048), reencodes(1));  // all of stripe 1
+  EXPECT_EQ(write(2048, 2048), rewrites(1));  // all of stripe 1
   // Units 1-3 of stripe 0, all of stripe 1, and units 0-1 of stripe 2.
-  EXPECT_EQ(write(1000, 4000), reencodes(3));
+  const auto io = write(1000, 4000);
+  EXPECT_EQ(io.first, reencodes(2).first);
+  EXPECT_EQ(io.second, reencodes(2).second + rewrites(1).second);
 }
 
 TEST_F(ObjectWrite, TailStripeKeepsItsPadding) {
@@ -306,9 +314,11 @@ TEST_F(ObjectWrite, FailedNodeLosesItsUnitsNotTheWrite) {
   // Stripes s sit on nodes s..s+5: node 1 holds units of stripes 0 and 1.
   store_.fail_node(1);
   ObjectLayout::PutResult res;
-  write(0, 3 * 2048, &res);
+  // Whole stripes read nothing; node 1's two units are never written.
+  EXPECT_EQ(write(0, 3 * 2048, &res),
+            std::make_pair(std::uint64_t{0}, rewrites(3).second - 2));
   EXPECT_EQ(res.failed_stripes, (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(store_.stats().degraded_reads, 2u);
+  EXPECT_EQ(store_.stats().degraded_reads, 0u);
   // A small write needing a unit on node 1 re-encodes (degraded) instead,
   // and the failed node's reads and writes never happen.
   EXPECT_EQ(store_.placement("obj", 0)[1], 1u);
