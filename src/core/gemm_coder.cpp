@@ -15,15 +15,24 @@ namespace tvmec::core {
 
 namespace {
 
-tensor::AlignedBuffer<std::uint64_t> build_masks(const gf::Matrix& coeffs) {
+tensor::PackedXorAndA pack_bitmatrix(const gf::Matrix& coeffs) {
   const ec::BitmatrixCode code(coeffs);
   const gf::BitMatrix& bits = code.bits();
-  tensor::AlignedBuffer<std::uint64_t> masks(bits.rows() * bits.cols());
+  if (bits.rows() == 0 || bits.cols() == 0) {  // r == 0: nothing to encode
+    tensor::PackedXorAndA empty;
+    empty.rows = bits.rows();
+    empty.cols = bits.cols();
+    empty.ones_row.assign(bits.rows() + 1, 0);
+    empty.word_row.assign(bits.rows() + 1, 0);
+    return empty;
+  }
+  std::vector<std::uint64_t> masks(bits.rows() * bits.cols());
   for (std::size_t i = 0; i < bits.rows(); ++i)
     for (std::size_t j = 0; j < bits.cols(); ++j)
       masks[i * bits.cols() + j] =
           bits.get(i, j) ? ~std::uint64_t{0} : std::uint64_t{0};
-  return masks;
+  return tensor::PackedXorAndA::pack(
+      {masks.data(), bits.rows(), bits.cols(), bits.cols()});
 }
 
 }  // namespace
@@ -35,7 +44,7 @@ GemmCoder::GemmCoder(const gf::Matrix& coeffs, const tensor::Schedule& schedule)
     : w_(coeffs.field().w()),
       in_units_(coeffs.cols()),
       out_units_(coeffs.rows()),
-      masks_(build_masks(coeffs)),
+      packed_(pack_bitmatrix(coeffs)),
       schedule_(schedule) {
   if (!schedule_.valid())
     throw std::invalid_argument("GemmCoder: invalid schedule");
@@ -57,14 +66,13 @@ void GemmCoder::do_apply(std::span<const std::uint8_t> in,
   const std::size_t rw = out_units_ * w_;
   // The contiguous unit buffer *is* the packed B matrix: packet p of unit
   // u is row u*w + p, and rows are exactly packet_words apart.
-  const tensor::MatView<const std::uint64_t> a{masks_.data(), rw, kw, kw};
   const tensor::MatView<const std::uint64_t> b{
       reinterpret_cast<const std::uint64_t*>(in.data()), kw, packet_words,
       packet_words};
   const tensor::MatView<std::uint64_t> c{
       reinterpret_cast<std::uint64_t*>(out.data()), rw, packet_words,
       packet_words};
-  tensor::gemm_xorand(a, b, c, schedule_);
+  tensor::gemm_xorand(packed_, b, c, schedule_);
 }
 
 void GemmCoder::apply_batch(std::span<const ec::CoderBatchItem> items,
@@ -99,8 +107,7 @@ void GemmCoder::apply_batch(std::span<const ec::CoderBatchItem> items,
   if (!fast.empty()) {
     tensor::Schedule s = schedule_;
     if (max_threads > 0) s.num_threads = std::min(s.num_threads, max_threads);
-    const tensor::MatView<const std::uint64_t> a{masks_.data(), rw, kw, kw};
-    tensor::gemm_xorand_batched(a, fast, s, cancel);
+    tensor::gemm_xorand_batched(packed_, fast, s, cancel);
   }
   for (const ec::CoderBatchItem* item : slow) {
     cancel.throw_if_cancelled();
@@ -180,9 +187,8 @@ void GemmCoder::apply_scattered(std::span<const ScatteredCoderItem> items,
     }
     tensor::Schedule s = schedule_;
     if (max_threads > 0) s.num_threads = std::min(s.num_threads, max_threads);
-    const tensor::MatView<const std::uint64_t> a{masks_.data(), rw, kw, kw};
     tensor::gemm_xorand_scattered(
-        a,
+        packed_,
         tensor::ScatteredView<const std::uint64_t>(kw, n_total,
                                                    std::move(b_frags)),
         tensor::ScatteredView<std::uint64_t>(rw, n_total, std::move(c_frags)),

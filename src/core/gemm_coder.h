@@ -4,6 +4,7 @@
 #include "ec/encoder.h"
 #include "gf/gf_matrix.h"
 #include "tensor/buffer.h"
+#include "tensor/kernel.h"
 #include "tensor/schedule.h"
 #include "tune/tuner.h"
 
@@ -11,7 +12,9 @@
 /// the ML-library substrate.
 ///
 /// A coefficient matrix over GF(2^w) is expanded to its bitmatrix and
-/// stored as broadcast masks (0 / ~0 per 64-bit lane); input units are
+/// packed once (tensor::PackedXorAndA: per output bit-row, the input
+/// bit-rows whose bit is set, so the kernel never touches a zero bit);
+/// input units are
 /// viewed, without copying, as a packed (k*w) x d/(8w) word matrix; and
 /// the whole encode is one gemm_xorand call whose schedule (register
 /// tiles, cache blocks, threads) comes from the autotuner — the direct
@@ -107,7 +110,7 @@ class GemmCoder final : public ec::MatrixCoder {
   unsigned w_;
   std::size_t in_units_;
   std::size_t out_units_;
-  tensor::AlignedBuffer<std::uint64_t> masks_;  // (out*w) x (in*w) broadcast
+  tensor::PackedXorAndA packed_;  // (out*w) x (in*w) bitmatrix, packed
   tensor::Schedule schedule_;
   std::size_t scattered_staging_threshold_ = kScatteredStageMaxBytes;
 };

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -95,8 +96,10 @@ using MicroFn = void (*)(const typename S::value_type*, std::size_t,
                          const typename S::value_type*, std::size_t,
                          typename S::value_type*, std::size_t, std::size_t);
 
-/// The "generated code" menu: one fully unrolled microkernel per
-/// (tile_m, tile_n) pair in the schedule search space.
+/// The "generated code" menu of the SumProd semirings: one fully
+/// unrolled microkernel per (tile_m, tile_n) pair in the schedule search
+/// space. (Their codegen is whatever this TU was compiled with, which is
+/// safe by construction: no per-file target flags apply here.)
 template <class S>
 constexpr std::array<std::array<MicroFn<S>, 7>, 4> make_dispatch() {
   return {{
@@ -115,30 +118,8 @@ constexpr std::array<std::array<MicroFn<S>, 7>, 4> make_dispatch() {
   }};
 }
 
-/// Picks the microkernel for one (schedule, semiring) pair. XorAnd64 —
-/// the erasure-coding semiring — dispatches through the runtime variant
-/// tier: the schedule's variant knob resolved against CPUID detection
-/// and any TVMEC_FORCE_VARIANT override (tensor/variant.h), so the same
-/// binary runs vpternlogq on an AVX-512 host and the portable tile on a
-/// machine that lacks it. Other semirings keep the template menu (their
-/// codegen is whatever this TU was compiled with, which is safe by
-/// construction: no per-file target flags apply here).
-template <class S>
-MicroFn<S> select_micro(const Schedule& s) {
-  const std::size_t mi = static_cast<std::size_t>(tile_m_index(s.tile_m));
-  const std::size_t ni = static_cast<std::size_t>(tile_n_index(s.tile_n));
-  if constexpr (std::is_same_v<S, XorAnd64>) {
-    return xorand_table(resolve_variant(s.variant))->fn[mi][ni];
-  } else {
-    static constexpr auto kDispatch = make_dispatch<S>();
-    return kDispatch[mi][ni];
-  }
-}
-
-template <class S>
-void validate_shapes(MatView<const typename S::value_type> a,
-                     MatView<const typename S::value_type> b,
-                     MatView<typename S::value_type> c) {
+template <class T>
+void validate_shapes(MatView<const T> a, MatView<const T> b, MatView<T> c) {
   a.validate();
   b.validate();
   c.validate();
@@ -146,9 +127,8 @@ void validate_shapes(MatView<const typename S::value_type> a,
     throw std::invalid_argument("gemm: A(MxK) B(KxN) C(MxN) shape mismatch");
 }
 
-/// Executes the output block [m0, m1) x [n0, n1) of C under the given
-/// schedule. Workers own disjoint C blocks, so this is the unit of
-/// parallel work as well as the serial whole-matrix path.
+/// Executes the output block [m0, m1) x [n0, n1) of a SumProd GEMM under
+/// the given schedule.
 template <class S>
 void run_block(MatView<const typename S::value_type> a,
                MatView<const typename S::value_type> b,
@@ -156,7 +136,10 @@ void run_block(MatView<const typename S::value_type> a,
                std::size_t m0, std::size_t m1, std::size_t n0,
                std::size_t n1) {
   using V = typename S::value_type;
-  const MicroFn<S> micro = select_micro<S>(s);
+  static constexpr auto kDispatch = make_dispatch<S>();
+  const MicroFn<S> micro =
+      kDispatch[static_cast<std::size_t>(tile_m_index(s.tile_m))]
+               [static_cast<std::size_t>(tile_n_index(s.tile_n))];
   const std::size_t tm = static_cast<std::size_t>(s.tile_m);
   const std::size_t tn = static_cast<std::size_t>(s.tile_n);
   const std::size_t k = a.cols;
@@ -236,30 +219,26 @@ AxisChunks make_axis_chunks(std::size_t extent, std::size_t tile,
   return ax;
 }
 
-template <class S>
-void gemm_scheduled(MatView<const typename S::value_type> a,
-                    MatView<const typename S::value_type> b,
-                    MatView<typename S::value_type> c, const Schedule& s,
-                    const CancelToken& cancel) {
-  validate_shapes<S>(a, b, c);
-  if (!s.valid()) throw std::invalid_argument("gemm: invalid schedule");
-  const std::size_t m = c.rows;
-  const std::size_t n = c.cols;
+/// Hands the m x n output to `run(m0, m1, n0, n1)` in the blocks the
+/// schedule's partitioning defines. Workers own disjoint C blocks.
+template <class Run>
+void for_each_block(std::size_t m, std::size_t n, const Schedule& s,
+                    const CancelToken& cancel, const Run& run) {
   const std::size_t threads = static_cast<std::size_t>(s.num_threads);
   const std::size_t tm = static_cast<std::size_t>(s.tile_m);
   const std::size_t tn = static_cast<std::size_t>(s.tile_n);
 
   if (threads <= 1) {
     if (!cancel.valid()) {
-      run_block<S>(a, b, c, s, 0, m, 0, n);
+      run(0, m, 0, n);
       return;
     }
     // Cancellable serial path: carve N into tile-aligned chunks purely to
     // bound how much work runs between cancellation polls (a whole-matrix
-    // run_block could be milliseconds — one batch-service time — per
-    // check otherwise). Chunks cover at least kMinCancelWords of N so the
-    // poll and the per-chunk re-entry amortize to well under a percent
-    // even for small serving-sized operands.
+    // run could be milliseconds — one batch-service time — per check
+    // otherwise). Chunks cover at least kMinCancelWords of N so the poll
+    // and the per-chunk re-entry amortize to well under a percent even
+    // for small serving-sized operands.
     cancel.throw_if_cancelled();
     constexpr std::size_t kMinCancelWords = 4096;
     const std::size_t grain =
@@ -268,7 +247,7 @@ void gemm_scheduled(MatView<const typename S::value_type> a,
     for (std::size_t i = 0; i < nc.chunks; ++i) {
       cancel.throw_if_cancelled();
       const auto [n0, n1] = nc.range(i);
-      run_block<S>(a, b, c, s, 0, m, n0, n1);
+      run(0, m, n0, n1);
     }
     return;
   }
@@ -282,7 +261,7 @@ void gemm_scheduled(MatView<const typename S::value_type> a,
           mc.chunks,
           [&](std::size_t i) {
             const auto [m0, m1] = mc.range(i);
-            run_block<S>(a, b, c, s, m0, m1, 0, n);
+            run(m0, m1, 0, n);
           },
           threads, cancel.raw());
       break;
@@ -295,7 +274,7 @@ void gemm_scheduled(MatView<const typename S::value_type> a,
           nc.chunks,
           [&](std::size_t i) {
             const auto [n0, n1] = nc.range(i);
-            run_block<S>(a, b, c, s, 0, m, n0, n1);
+            run(0, m, n0, n1);
           },
           threads, cancel.raw());
       break;
@@ -315,7 +294,7 @@ void gemm_scheduled(MatView<const typename S::value_type> a,
           [&](std::size_t i) {
             const auto [m0, m1] = mc.range(i / nc.chunks);
             const auto [n0, n1] = nc.range(i % nc.chunks);
-            run_block<S>(a, b, c, s, m0, m1, n0, n1);
+            run(m0, m1, n0, n1);
           },
           threads, cancel.raw());
       break;
@@ -324,10 +303,23 @@ void gemm_scheduled(MatView<const typename S::value_type> a,
 }
 
 template <class S>
+void gemm_sumprod(MatView<const typename S::value_type> a,
+                  MatView<const typename S::value_type> b,
+                  MatView<typename S::value_type> c, const Schedule& s) {
+  validate_shapes(a, b, c);
+  if (!s.valid()) throw std::invalid_argument("gemm: invalid schedule");
+  for_each_block(c.rows, c.cols, s, {},
+                 [&](std::size_t m0, std::size_t m1, std::size_t n0,
+                     std::size_t n1) {
+                   run_block<S>(a, b, c, s, m0, m1, n0, n1);
+                 });
+}
+
+template <class S>
 void gemm_naive(MatView<const typename S::value_type> a,
                 MatView<const typename S::value_type> b,
                 MatView<typename S::value_type> c) {
-  validate_shapes<S>(a, b, c);
+  validate_shapes(a, b, c);
   using V = typename S::value_type;
   for (std::size_t i = 0; i < c.rows; ++i) {
     for (std::size_t j = 0; j < c.cols; ++j) {
@@ -339,74 +331,239 @@ void gemm_naive(MatView<const typename S::value_type> a,
   }
 }
 
-/// Executes scattered columns [n0, n1): per n-block the B panel is
-/// gathered fragment-by-fragment into cache-resident scratch (the packing
-/// step of the tiled loop — each source word is read once per k-block,
-/// while it is still warm for the microkernels), the full-M C panel
-/// accumulates across k-blocks, and each C panel is scattered out exactly
-/// once. Workers own disjoint column ranges, so this is both the serial
-/// whole-matrix path and the unit of parallel work.
-void run_scattered_range(MatView<const std::uint64_t> a,
-                         const ScatteredView<const std::uint64_t>& b,
-                         const ScatteredView<std::uint64_t>& c,
-                         const Schedule& s, std::size_t n0, std::size_t n1,
-                         const CancelToken& cancel) {
-  using S = XorAnd64;
-  const MicroFn<S> micro = select_micro<S>(s);
-  const std::size_t tm = static_cast<std::size_t>(s.tile_m);
-  const std::size_t tn = static_cast<std::size_t>(s.tile_n);
-  const std::size_t m = a.rows;
+// ---- The XorAnd driver ------------------------------------------------
+
+/// The B sliver (block_k x tile_n words) stays within this budget, so it
+/// and the C rows it feeds stay L1-resident: block_k is capped to fit.
+constexpr std::size_t kSliverBudgetWords =
+    (std::size_t{32} << 10) / sizeof(std::uint64_t);
+
+/// With block_n == 0 the panel width is sized so a panel's gathered B
+/// rows plus staged C rows stay within this (scattered operands only
+/// materialize them; in-place rows cost nothing).
+constexpr std::size_t kPanelBudgetWords =
+    (std::size_t{256} << 10) / sizeof(std::uint64_t);
+
+/// What one gemm_xorand call resolves once and every block shares: the
+/// variant's sliver kernel, the effective sliver depth and panel width,
+/// and A's row spans per k-block ([block * rows + row]).
+struct XorAndPlan {
+  const PackedXorAndA* a = nullptr;
+  XorAndSliverFn sliver = nullptr;
+  std::size_t tn = 0;
+  std::size_t bk = 0;
+  std::size_t bn = 0;
+  std::vector<XorAndRowSpan> spans;
+};
+
+XorAndPlan plan_xorand(const PackedXorAndA& a, const Schedule& s) {
+  XorAndPlan p;
+  p.a = &a;
+  p.sliver = xorand_table(resolve_variant(s.variant))
+                 ->fn[static_cast<std::size_t>(tile_n_index(s.tile_n))];
+  p.tn = static_cast<std::size_t>(s.tile_n);
   const std::size_t k = a.cols;
-  const std::size_t n = b.cols();
-  const std::size_t bk = s.block_k == 0 ? k : std::min(s.block_k, k);
+  p.bk = std::min({s.block_k == 0 ? k : s.block_k, k,
+                   std::max<std::size_t>(1, kSliverBudgetWords / p.tn)});
+  p.bn = s.block_n != 0 ? s.block_n : kPanelBudgetWords / (k + a.rows);
+  p.bn = std::max(p.bn / p.tn * p.tn, p.tn);
 
-  std::size_t bn = s.block_n;
-  if (bn == 0) {
-    // Unlike the contiguous path, block_n == 0 cannot mean "whole N": the
-    // panel is materialized, and a full-width panel would be the staging
-    // buffer this kernel exists to avoid. Size it so B-panel + C-panel
-    // stay cache-resident.
-    constexpr std::size_t kPanelBudgetWords =
-        (std::size_t{1} << 18) / sizeof(std::uint64_t);  // 256 KiB
-    bn = kPanelBudgetWords / (bk + m);
-    bn = bn / tn * tn;
+  const std::size_t blocks = (k + p.bk - 1) / p.bk;
+  p.spans.resize(blocks * a.rows);
+  for (std::size_t i = 0; i < a.rows; ++i) {
+    const std::uint32_t* ones = a.ones_k.data();
+    const std::uint32_t* words = a.word_k.data();
+    std::uint32_t o = a.ones_row[i];
+    std::uint32_t w = a.word_row[i];
+    for (std::size_t blk = 0; blk < blocks; ++blk) {
+      const std::size_t k1 = std::min(k, (blk + 1) * p.bk);
+      XorAndRowSpan& sp = p.spans[blk * a.rows + i];
+      sp.ones_begin = o;
+      while (o < a.ones_row[i + 1] && ones[o] < k1) ++o;
+      sp.ones_end = o;
+      sp.word_begin = w;
+      while (w < a.word_row[i + 1] && words[w] < k1) ++w;
+      sp.word_end = w;
+    }
   }
-  bn = std::max(bn, tn);
+  return p;
+}
 
+/// Row access to a MatView operand: every row range is in place.
+template <class T>
+struct MatRows {
+  static constexpr bool kInPlace = true;
+  MatView<T> v;
+  T* span(std::size_t r, std::size_t col, std::size_t) const {
+    return v.row(r) + col;
+  }
+  void gather(std::size_t r, std::size_t col, std::size_t len,
+              std::uint64_t* dst) const {
+    std::memcpy(dst, v.row(r) + col, len * sizeof(std::uint64_t));
+  }
+  void scatter(std::size_t r, std::size_t col, std::size_t len,
+               const std::uint64_t* src) const {
+    std::memcpy(v.row(r) + col, src, len * sizeof(std::uint64_t));
+  }
+};
+
+/// Row access to a ScatteredView operand: a row range is in place unless
+/// it crosses a fragment boundary.
+template <class T>
+struct ScatteredRows {
+  static constexpr bool kInPlace = false;
+  const ScatteredView<T>& v;
+  T* span(std::size_t r, std::size_t col, std::size_t len) const {
+    return v.span(r * v.cols() + col, len);
+  }
+  void gather(std::size_t r, std::size_t col, std::size_t len,
+              std::uint64_t* dst) const {
+    v.gather(r * v.cols() + col, len, dst);
+  }
+  void scatter(std::size_t r, std::size_t col, std::size_t len,
+               const std::uint64_t* src) const {
+    v.scatter(r * v.cols() + col, len, src);
+  }
+};
+
+thread_local std::vector<const std::uint64_t*> tl_b_rows;
+thread_local std::vector<std::uint64_t*> tl_c_rows;
+
+constexpr std::size_t round_to_line(std::size_t words) {
+  return (words + 7) / 8 * 8;
+}
+
+/// The one XorAnd driver: computes C rows [m0, m1) x columns [n0, n1).
+/// Per panel of p.bn columns it resolves every B and C row to an in-place
+/// pointer (or gathers / stages the rows a scattered panel splits), then
+/// walks tile_n-wide slivers. Each sliver runs its k-blocks back to back,
+/// so the C rows it accumulates into stay in L1 between blocks. The
+/// ragged last sliver is gathered into zero-padded edge rows and its C
+/// written back through the same row access.
+template <class BRows, class CRows>
+void run_xorand(const XorAndPlan& p, const BRows& b, const CRows& c,
+                std::size_t m0, std::size_t m1, std::size_t n0,
+                std::size_t n1) {
+  const PackedXorAndA& a = *p.a;
+  const std::size_t k = a.cols;
+  const std::size_t rows = m1 - m0;
+  const std::size_t tn = p.tn;
+  const std::size_t bn = p.bn;
+
+  const std::size_t pack_words = round_to_line(p.bk * tn);
+  const std::size_t edge_b_words = round_to_line(k * tn);
+  const std::size_t edge_c_words = round_to_line(rows * tn);
+  const std::size_t gather_words = BRows::kInPlace ? 0 : k * bn;
+  const std::size_t stage_words = CRows::kInPlace ? 0 : rows * bn;
   AlignedBuffer<std::uint64_t> overflow;
-  std::uint64_t* const b_panel = acquire_scratch(bk * bn + m * bn, overflow);
-  std::uint64_t* const c_panel = b_panel + bk * bn;
+  std::uint64_t* const pack = acquire_scratch(
+      pack_words + edge_b_words + edge_c_words + gather_words + stage_words,
+      overflow);
+  std::uint64_t* const edge_b = pack + pack_words;
+  std::uint64_t* const edge_c = edge_b + edge_b_words;
+  std::uint64_t* const gathered = edge_c + edge_c_words;  // k x bn
+  std::uint64_t* const staged = gathered + gather_words;  // rows x bn
+  tl_b_rows.resize(k);
+  tl_c_rows.resize(rows);
+  const std::uint64_t** const b_rows = tl_b_rows.data();
+  std::uint64_t** const c_rows = tl_c_rows.data();
+
+  XorAndSliver args;
+  args.ones_k = a.ones_k.data();
+  args.word_k = a.word_k.data();
+  args.word = a.word.data();
+  args.rows = rows;
+  args.c = c_rows;
+  args.pack = pack;
+  const auto run_sliver = [&](std::size_t off) {
+    args.off = off;
+    for (std::size_t kb = 0, blk = 0; kb < k; kb += p.bk, ++blk) {
+      args.spans = p.spans.data() + blk * a.rows + m0;
+      args.k0 = static_cast<std::uint32_t>(kb);
+      args.kk = std::min(p.bk, k - kb);
+      args.b = b_rows + kb;
+      args.accumulate = kb > 0;
+      p.sliver(args);
+    }
+  };
 
   for (std::size_t nb = n0; nb < n1; nb += bn) {
-    cancel.throw_if_cancelled();
-    const std::size_t nn_blk = std::min(n1 - nb, bn);
-    std::memset(c_panel, 0, m * nn_blk * sizeof(std::uint64_t));
-    for (std::size_t kb = 0; kb < k; kb += bk) {
-      const std::size_t kk = std::min(k, kb + bk) - kb;
-      for (std::size_t r = 0; r < kk; ++r)
-        b.gather((kb + r) * n + nb, nn_blk, b_panel + r * nn_blk);
-      for (std::size_t i = 0; i < m; i += tm) {
-        const std::size_t mm = std::min(tm, m - i);
-        for (std::size_t j = 0; j < nn_blk; j += tn) {
-          const std::size_t nn = std::min(tn, nn_blk - j);
-          const std::uint64_t* a_ptr = a.row(i) + kb;
-          const std::uint64_t* b_ptr = b_panel + j;
-          std::uint64_t* c_ptr = c_panel + i * nn_blk + j;
-          if (mm == tm && nn == tn) {
-            micro(a_ptr, a.stride, b_ptr, nn_blk, c_ptr, nn_blk, kk);
-          } else {
-            micro_gemm_edge<S>(a_ptr, a.stride, b_ptr, nn_blk, c_ptr, nn_blk,
-                               kk, mm, nn);
+    const std::size_t width = std::min(bn, n1 - nb);
+    const std::size_t full = width / tn * tn;
+    if (full > 0) {
+      for (std::size_t r = 0; r < k; ++r) {
+        b_rows[r] = b.span(r, nb, full);
+        if constexpr (!BRows::kInPlace) {
+          if (b_rows[r] == nullptr) {
+            b.gather(r, nb, full, gathered + r * bn);
+            b_rows[r] = gathered + r * bn;
           }
         }
       }
+      for (std::size_t i = 0; i < rows; ++i) {
+        c_rows[i] = c.span(m0 + i, nb, full);
+        if constexpr (!CRows::kInPlace)
+          if (c_rows[i] == nullptr) c_rows[i] = staged + i * bn;
+      }
+      for (std::size_t j = 0; j < full; j += tn) run_sliver(j);
+      if constexpr (!CRows::kInPlace)
+        for (std::size_t i = 0; i < rows; ++i)
+          if (c_rows[i] == staged + i * bn)
+            c.scatter(m0 + i, nb, full, c_rows[i]);
     }
-    for (std::size_t i = 0; i < m; ++i)
-      c.scatter(i * n + nb, nn_blk, c_panel + i * nn_blk);
+    if (full < width) {
+      const std::size_t nn = width - full;
+      for (std::size_t r = 0; r < k; ++r) {
+        std::uint64_t* const row = edge_b + r * tn;
+        b.gather(r, nb + full, nn, row);
+        std::fill(row + nn, row + tn, std::uint64_t{0});
+        b_rows[r] = row;
+      }
+      for (std::size_t i = 0; i < rows; ++i) c_rows[i] = edge_c + i * tn;
+      run_sliver(0);
+      for (std::size_t i = 0; i < rows; ++i)
+        c.scatter(m0 + i, nb + full, nn, edge_c + i * tn);
+    }
   }
 }
 
+void check_xorand_args(const PackedXorAndA& a, std::size_t b_rows,
+                       std::size_t b_cols, std::size_t c_rows,
+                       std::size_t c_cols, const Schedule& s) {
+  if (!s.valid()) throw std::invalid_argument("gemm: invalid schedule");
+  if (a.rows != c_rows || b_cols != c_cols || a.cols != b_rows)
+    throw std::invalid_argument("gemm: A(MxK) B(KxN) C(MxN) shape mismatch");
+}
+
 }  // namespace
+
+PackedXorAndA PackedXorAndA::pack(MatView<const std::uint64_t> a) {
+  a.validate();
+  constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+  if (a.cols > kMax || a.rows * a.cols > kMax)
+    throw std::invalid_argument("PackedXorAndA: operand too large");
+  PackedXorAndA p;
+  p.rows = a.rows;
+  p.cols = a.cols;
+  p.ones_row.reserve(a.rows + 1);
+  p.word_row.reserve(a.rows + 1);
+  p.ones_row.push_back(0);
+  p.word_row.push_back(0);
+  for (std::size_t i = 0; i < a.rows; ++i) {
+    for (std::size_t l = 0; l < a.cols; ++l) {
+      const std::uint64_t w = a.at(i, l);
+      if (w == ~std::uint64_t{0}) {
+        p.ones_k.push_back(static_cast<std::uint32_t>(l));
+      } else if (w != 0) {
+        p.word_k.push_back(static_cast<std::uint32_t>(l));
+        p.word.push_back(w);
+      }
+    }
+    p.ones_row.push_back(static_cast<std::uint32_t>(p.ones_k.size()));
+    p.word_row.push_back(static_cast<std::uint32_t>(p.word_k.size()));
+  }
+  return p;
+}
 
 KernelStageStats kernel_stage_stats() noexcept {
   return {g_stage_copies.load(std::memory_order_relaxed),
@@ -423,50 +580,57 @@ std::size_t kernel_scratch_retained_bytes() noexcept {
   return tl_scratch.size() * sizeof(std::uint64_t);
 }
 
-void gemm_xorand_scattered(MatView<const std::uint64_t> a,
-                           const ScatteredView<const std::uint64_t>& b,
-                           const ScatteredView<std::uint64_t>& c,
-                           const Schedule& schedule,
-                           const CancelToken& cancel) {
-  a.validate();
-  if (!schedule.valid())
-    throw std::invalid_argument("gemm: invalid schedule");
-  if (a.rows != c.rows() || b.cols() != c.cols() || a.cols != b.rows())
-    throw std::invalid_argument("gemm: A(MxK) B(KxN) C(MxN) shape mismatch");
-  if (b.contiguous() && c.contiguous()) {
-    // Physically contiguous operands need no packing at all: same code
-    // path (and bytes) as the ordinary MatView kernel.
-    gemm_xorand(a, b.as_matview(), c.as_matview(), schedule, cancel);
-    return;
-  }
-  const std::size_t n = b.cols();
-  const std::size_t threads = static_cast<std::size_t>(schedule.num_threads);
-  if (threads <= 1) {
-    run_scattered_range(a, b, c, schedule, 0, n, cancel);
-    return;
-  }
-  // Scattered operands always partition N: M is tiny for erasure codes
-  // and C panels are column-block-local, so there is nothing to gain
-  // (and scatter-aliasing to lose) from splitting M.
-  const AxisChunks nc = make_axis_chunks(
-      n, static_cast<std::size_t>(schedule.tile_n), schedule.par_grain,
-      threads);
-  ThreadPool::shared().parallel_for(
-      nc.chunks,
-      [&](std::size_t i) {
-        const auto [lo, hi] = nc.range(i);
-        run_scattered_range(a, b, c, schedule, lo, hi, cancel);
-      },
-      threads, cancel.raw());
+void gemm_xorand(const PackedXorAndA& a, MatView<const std::uint64_t> b,
+                 MatView<std::uint64_t> c, const Schedule& schedule,
+                 const CancelToken& cancel) {
+  b.validate();
+  c.validate();
+  check_xorand_args(a, b.rows, b.cols, c.rows, c.cols, schedule);
+  const XorAndPlan plan = plan_xorand(a, schedule);
+  const MatRows<const std::uint64_t> b_rows{b};
+  const MatRows<std::uint64_t> c_rows{c};
+  for_each_block(c.rows, c.cols, schedule, cancel,
+                 [&](std::size_t m0, std::size_t m1, std::size_t n0,
+                     std::size_t n1) {
+                   run_xorand(plan, b_rows, c_rows, m0, m1, n0, n1);
+                 });
 }
 
 void gemm_xorand(MatView<const std::uint64_t> a, MatView<const std::uint64_t> b,
                  MatView<std::uint64_t> c, const Schedule& schedule,
                  const CancelToken& cancel) {
-  gemm_scheduled<XorAnd64>(a, b, c, schedule, cancel);
+  gemm_xorand(PackedXorAndA::pack(a), b, c, schedule, cancel);
 }
 
-void gemm_xorand_batched(MatView<const std::uint64_t> a,
+void gemm_xorand_scattered(const PackedXorAndA& a,
+                           const ScatteredView<const std::uint64_t>& b,
+                           const ScatteredView<std::uint64_t>& c,
+                           const Schedule& schedule,
+                           const CancelToken& cancel) {
+  check_xorand_args(a, b.rows(), b.cols(), c.rows(), c.cols(), schedule);
+  if (b.contiguous() && c.contiguous()) {
+    gemm_xorand(a, b.as_matview(), c.as_matview(), schedule, cancel);
+    return;
+  }
+  const XorAndPlan plan = plan_xorand(a, schedule);
+  const ScatteredRows<const std::uint64_t> b_rows{b};
+  const ScatteredRows<std::uint64_t> c_rows{c};
+  for_each_block(c.rows(), c.cols(), schedule, cancel,
+                 [&](std::size_t m0, std::size_t m1, std::size_t n0,
+                     std::size_t n1) {
+                   run_xorand(plan, b_rows, c_rows, m0, m1, n0, n1);
+                 });
+}
+
+void gemm_xorand_scattered(MatView<const std::uint64_t> a,
+                           const ScatteredView<const std::uint64_t>& b,
+                           const ScatteredView<std::uint64_t>& c,
+                           const Schedule& schedule,
+                           const CancelToken& cancel) {
+  gemm_xorand_scattered(PackedXorAndA::pack(a), b, c, schedule, cancel);
+}
+
+void gemm_xorand_batched(const PackedXorAndA& a,
                          std::span<const XorAndBatch> items,
                          const Schedule& schedule,
                          const CancelToken& cancel) {
@@ -480,7 +644,10 @@ void gemm_xorand_batched(MatView<const std::uint64_t> a,
   const std::size_t m = a.rows;
   std::size_t n_total = 0;
   for (const XorAndBatch& item : items) {
-    validate_shapes<XorAnd64>(a, item.b, item.c);
+    item.b.validate();
+    item.c.validate();
+    check_xorand_args(a, item.b.rows, item.b.cols, item.c.rows, item.c.cols,
+                      schedule);
     n_total += item.b.cols;
   }
 
@@ -498,10 +665,9 @@ void gemm_xorand_batched(MatView<const std::uint64_t> a,
 
   // Zero-copy scattered dispatch: logical row r of the wide K x (sum N_i)
   // B matrix is the concatenation of every item's row r — a fragment
-  // list, not a staging buffer. The scattered kernel folds the gather
-  // into its panel packing, so request payloads flow to the microkernels
-  // straight from the callers' buffers. (This replaces the full-batch
-  // thread_local b_scratch/c_scratch staging this function used to do.)
+  // list, not a staging buffer. The driver reads each fragment in place
+  // or gathers it per panel, so request payloads flow to the sliver
+  // packing straight from the callers' buffers.
   std::vector<Fragment<const std::uint64_t>> b_frags;
   b_frags.reserve(k * items.size());
   for (std::size_t row = 0; row < k; ++row)
@@ -518,15 +684,23 @@ void gemm_xorand_batched(MatView<const std::uint64_t> a,
       cancel);
 }
 
+void gemm_xorand_batched(MatView<const std::uint64_t> a,
+                         std::span<const XorAndBatch> items,
+                         const Schedule& schedule,
+                         const CancelToken& cancel) {
+  if (items.empty()) return;
+  gemm_xorand_batched(PackedXorAndA::pack(a), items, schedule, cancel);
+}
+
 void gemm_sumprod_i64(MatView<const std::int64_t> a,
                       MatView<const std::int64_t> b, MatView<std::int64_t> c,
                       const Schedule& schedule) {
-  gemm_scheduled<SumProd<std::int64_t>>(a, b, c, schedule, {});
+  gemm_sumprod<SumProd<std::int64_t>>(a, b, c, schedule);
 }
 
 void gemm_sumprod_f32(MatView<const float> a, MatView<const float> b,
                       MatView<float> c, const Schedule& schedule) {
-  gemm_scheduled<SumProd<float>>(a, b, c, schedule, {});
+  gemm_sumprod<SumProd<float>>(a, b, c, schedule);
 }
 
 void gemm_naive_sumprod_f32(MatView<const float> a, MatView<const float> b,

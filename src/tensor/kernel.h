@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "tensor/buffer.h"
 #include "tensor/cancel.h"
@@ -14,15 +15,44 @@
 /// semiring's combine/reduce pair:
 ///   - `gemm_sumprod_*`: ordinary matrix multiplication (the ML workload),
 ///   - `gemm_xorand`:    bitmatrix erasure coding (paper Listing 2) with
-///                       A holding broadcast masks (0 or ~0ull) and B
-///                       holding packed data words.
+///                       A holding mask words (broadcast 0 / ~0ull for a
+///                       bitmatrix, any word in general) and B holding
+///                       packed data words.
 ///
-/// The executor applies the Schedule's cache blocking, register tiling
-/// (dispatching to the template-instantiated microkernel menu) and thread
-/// parallelism. `gemm_naive_*` are the unoptimized Listing-1/2 triple
-/// loops used as correctness references and as the "what you'd write
-/// without an ML library" baseline.
+/// Both operands are packed, as an ML GEMM stack packs them. A — the
+/// constant coding matrix — is packed once (PackedXorAndA) into per-row
+/// lists of its nonzero words, so the XorAnd kernel skips zero bits
+/// instead of AND-ing with them. B is packed per sliver: block_k x tile_n
+/// words copied into thread-local scratch that stays in L1 while every C
+/// row reads it. The executor applies the Schedule's cache blocking,
+/// register tiling and thread parallelism. `gemm_naive_*` are the
+/// unoptimized Listing-1/2 triple loops used as correctness references
+/// and as the "what you'd write without an ML library" baseline.
 namespace tvmec::tensor {
+
+/// The XorAnd A operand packed for the zero-skipping kernel: per row, the
+/// nonzero words and their k. All-ones words (every set bit of an
+/// expanded bitmatrix) are kept apart as bare k indices, so the kernel
+/// XORs the B row in without an AND; any other nonzero word keeps its
+/// value. Zero words are dropped. Entries are ascending in k within a
+/// row, so any k-block is a contiguous sub-range. Packing is exact:
+/// gemm_xorand over the packed form and over the MatView it came from
+/// produce identical bytes.
+struct PackedXorAndA {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  /// Row i's all-ones entries: ones_k[ones_row[i] .. ones_row[i + 1]).
+  std::vector<std::uint32_t> ones_k;
+  std::vector<std::uint32_t> ones_row;
+  /// Row i's other nonzero entries: (word_k[e], word[e]) for e in
+  /// [word_row[i], word_row[i + 1]).
+  std::vector<std::uint32_t> word_k;
+  std::vector<std::uint64_t> word;
+  std::vector<std::uint32_t> word_row;
+
+  /// Packs `a`. Throws std::invalid_argument on an invalid view.
+  static PackedXorAndA pack(MatView<const std::uint64_t> a);
+};
 
 /// Shapes must satisfy: A is MxK, B is KxN, C is MxN (each view's
 /// rows/cols, with arbitrary strides). Throws std::invalid_argument on
@@ -34,7 +64,12 @@ namespace tvmec::tensor {
 /// one-thread run observes cancellation mid-matrix). An observed flag
 /// throws Cancelled; C is then partially written and must be treated as
 /// garbage by the caller.
+/// The MatView overloads pack A on every call; callers that reuse one A
+/// (GemmCoder) pack it once and call the PackedXorAndA overloads.
 void gemm_xorand(MatView<const std::uint64_t> a, MatView<const std::uint64_t> b,
+                 MatView<std::uint64_t> c, const Schedule& schedule,
+                 const CancelToken& cancel = {});
+void gemm_xorand(const PackedXorAndA& a, MatView<const std::uint64_t> b,
                  MatView<std::uint64_t> c, const Schedule& schedule,
                  const CancelToken& cancel = {});
 
@@ -59,8 +94,12 @@ struct XorAndBatch {
 /// A single item dispatches directly. Throws std::invalid_argument on
 /// any per-item shape mismatch. `cancel` follows the gemm_xorand
 /// contract; the serial item-by-item path additionally polls between
-/// items, and the scattered path polls between panels.
+/// items.
 void gemm_xorand_batched(MatView<const std::uint64_t> a,
+                         std::span<const XorAndBatch> items,
+                         const Schedule& schedule,
+                         const CancelToken& cancel = {});
+void gemm_xorand_batched(const PackedXorAndA& a,
                          std::span<const XorAndBatch> items,
                          const Schedule& schedule,
                          const CancelToken& cancel = {});

@@ -6,28 +6,23 @@
 #include "tensor/semiring.h"
 #include "tensor/variant.h"
 
-/// Register-tiled microkernels — the library's stand-in for ML-compiler
-/// codegen.
+/// Register-tiled microkernels for the SumProd semirings — the
+/// library's stand-in for ML-compiler codegen.
 ///
 /// Each instantiation computes a TM x TN tile of C, accumulating over a
-/// K-extent, holding the whole tile in local accumulators. This is the
-/// classic GEMM outer-product microkernel; with the XorAnd64 semiring it
-/// becomes the paper's Listing-2 inner loop.
+/// K-extent, holding the whole tile in local accumulators: the classic
+/// GEMM outer-product microkernel.
 ///
-/// Like TVM's codegen, the XorAnd64 microkernels come as a family of
-/// arch-specialized variants — but unlike a compiler's, the choice is
-/// made at RUNTIME, not at build time. The SIMD variants (AVX-512's
-/// vpternlogq, AVX2's vpand+vpxor, NEON's vandq+veorq) live in separate
-/// per-variant translation units (xorand_kernels_*.cpp) built with
-/// per-file target flags; CPUID-based detection (tensor/variant.h) picks
-/// the tier each call executes. This header keeps only the portable
-/// generic template, which serves the non-XorAnd semirings and the
-/// ragged-edge fallback. Wide N tiles (up to 64 words) amortize each
-/// broadcast of an A mask over many data lanes — the key to reaching
-/// XOR-roofline throughput.
+/// The XorAnd64 (erasure-coding) semiring does not use this template. Its
+/// kernels skip A's zero bits, so they come as per-variant sliver kernels
+/// over packed operands (tensor/xorand_kernels.h): AVX-512's vpxorq /
+/// vpternlogq, AVX2's vpxor / vpand, NEON's veorq / vandq, each in its
+/// own translation unit built with per-file target flags. The choice is
+/// made at RUNTIME, not at build time: CPUID-based detection
+/// (tensor/variant.h) picks the tier each call executes.
 namespace tvmec::tensor {
 
-/// True when XorAnd tiles currently dispatch to SIMD-specialized code.
+/// True when XorAnd slivers currently dispatch to SIMD-specialized code.
 /// This is *runtime* truth — it reflects the variant the running host
 /// (and any TVMEC_FORCE_VARIANT override) resolves to, not the flags the
 /// library was compiled with.
@@ -37,8 +32,6 @@ inline bool xorand_simd_codegen() noexcept {
 
 /// Accumulates C[0..TM) x [0..TN) += A[0..TM) x [0..K) (x) B[0..K) x [0..TN)
 /// under semiring S. Leading dimensions (lda/ldb/ldc) are in elements.
-/// Portable codegen: XorAnd64 callers wanting the SIMD tiers go through
-/// the variant dispatch in kernel.cpp instead of calling this directly.
 template <class S, int TM, int TN>
 void micro_gemm(const typename S::value_type* a, std::size_t lda,
                 const typename S::value_type* b, std::size_t ldb,

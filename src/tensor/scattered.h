@@ -11,6 +11,7 @@
 
 #include "tensor/buffer.h"
 #include "tensor/cancel.h"
+#include "tensor/kernel.h"
 #include "tensor/schedule.h"
 
 /// Scattered (iovec-style) GEMM operands.
@@ -81,9 +82,16 @@ class ScatteredView {
     return {fragments_.front().ptr, rows_, cols_, cols_};
   }
 
-  /// Copies the logical word range [pos, pos + len) into dst. This is the
-  /// packing primitive: kernels call it per cache panel so every source
-  /// word is read exactly once per k-block.
+  /// Pointer to the logical word range [pos, pos + len) when it lies
+  /// inside one fragment, else nullptr (the range must then be gathered).
+  T* span(std::size_t pos, std::size_t len) const noexcept {
+    const std::size_t f = fragment_index(pos);
+    if (pos + len > offsets_[f + 1]) return nullptr;
+    return fragments_[f].ptr + (pos - offsets_[f]);
+  }
+
+  /// Copies the logical word range [pos, pos + len) into dst: the
+  /// kernel's gather for a panel row that crosses fragments.
   void gather(std::size_t pos, std::size_t len,
               std::remove_const_t<T>* dst) const noexcept {
     std::size_t f = fragment_index(pos);
@@ -131,18 +139,21 @@ class ScatteredView {
 };
 
 /// C = A (x) B over the XorAnd semiring with scattered B and C operands.
-/// Shapes: A is MxK (a MatView of broadcast masks), B is KxN, C is MxN.
+/// Shapes: A is MxK, B is KxN, C is MxN.
 ///
-/// Execution folds the gather into packing: per (n-block, k-block) the B
-/// panel is assembled from fragments into a cache-resident scratch panel,
-/// the register-tile microkernels accumulate into a C panel, and each C
-/// panel is scattered out exactly once. When both B and C are contiguous
-/// (single fragment) this dispatches to the plain gemm_xorand path.
-///
-/// Parallel schedules always partition the N axis (EC's long axis);
-/// par_axis M/MN are accepted but treated as N since C panels are
-/// column-block-local. `cancel` is polled between panels and chunks.
+/// Runs the one XorAnd driver gemm_xorand runs, and folds the gather into
+/// its packing. Per panel of block_n columns, every B and C row whose
+/// panel range lies inside one fragment is read or written in place;
+/// only a row the panel splits across fragments is gathered into (B) or
+/// staged in and scattered out of (C) scratch, once per panel. The B
+/// sliver pack then reads in-place and gathered rows alike. Partitioning
+/// and `cancel` polling follow gemm_xorand.
 void gemm_xorand_scattered(MatView<const std::uint64_t> a,
+                           const ScatteredView<const std::uint64_t>& b,
+                           const ScatteredView<std::uint64_t>& c,
+                           const Schedule& schedule,
+                           const CancelToken& cancel = {});
+void gemm_xorand_scattered(const PackedXorAndA& a,
                            const ScatteredView<const std::uint64_t>& b,
                            const ScatteredView<std::uint64_t>& c,
                            const Schedule& schedule,

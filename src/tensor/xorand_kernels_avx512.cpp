@@ -1,7 +1,8 @@
-// AVX-512 XorAnd microkernel variant: the AND+XOR pair fuses into a
-// single vpternlogq per 8 words. Compiled with per-file
-// -mavx512f/-mavx512bw/-mavx512vl; selected at runtime only when CPUID
-// (plus XGETBV zmm-state checks) reports all three.
+// AVX-512 XorAnd sliver kernels: an all-ones entry is one vpxorq per 8
+// words straight from the packed sliver, any other word one vpternlogq.
+// Compiled with per-file -mavx512f/-mavx512bw/-mavx512vl; selected at
+// runtime only when CPUID (plus XGETBV zmm-state checks) reports all
+// three.
 
 #include "tensor/xorand_kernels.h"
 
@@ -15,51 +16,58 @@ namespace {
 
 #include "tensor/xorand_portable_micro.inc"
 
-/// TM x (8*TNV) XorAnd tile with explicit zmm accumulators.
-template <int TM, int TNV>
-void micro_avx512(const std::uint64_t* a, std::size_t lda,
-                  const std::uint64_t* b, std::size_t ldb, std::uint64_t* c,
-                  std::size_t ldc, std::size_t k) {
-  __m512i acc[TM][TNV];
-#pragma GCC unroll 8
-  for (int i = 0; i < TM; ++i)
-#pragma GCC unroll 8
-    for (int v = 0; v < TNV; ++v)
-      acc[i][v] = _mm512_loadu_si512(c + i * ldc + 8 * v);
-  for (std::size_t l = 0; l < k; ++l) {
-    __m512i bv[TNV];
+/// (8*TNV)-word sliver with explicit zmm accumulators. The pragmas force
+/// full unrolling so every accumulator stays in a register.
+template <int TNV>
+void sliver_avx512(const XorAndSliver& s) {
+  constexpr std::size_t kTn = 8 * TNV;
+  std::uint64_t* const pack = s.pack;
+  for (std::size_t r = 0; r < s.kk; ++r) {
+    const std::uint64_t* const src = s.b[r] + s.off;
 #pragma GCC unroll 8
     for (int v = 0; v < TNV; ++v)
-      bv[v] = _mm512_loadu_si512(b + l * ldb + 8 * v);
+      _mm512_store_si512(pack + r * kTn + 8 * v,
+                         _mm512_loadu_si512(src + 8 * v));
+  }
+  for (std::size_t i = 0; i < s.rows; ++i) {
+    std::uint64_t* const c = s.c[i] + s.off;
+    __m512i acc[TNV];
 #pragma GCC unroll 8
-    for (int i = 0; i < TM; ++i) {
-      const __m512i av =
-          _mm512_set1_epi64(static_cast<long long>(a[i * lda + l]));
+    for (int v = 0; v < TNV; ++v)
+      acc[v] = s.accumulate ? _mm512_loadu_si512(c + 8 * v)
+                            : _mm512_setzero_si512();
+    const XorAndRowSpan sp = s.spans[i];
+    for (std::uint32_t e = sp.ones_begin; e < sp.ones_end; ++e) {
+      const std::uint64_t* const bv =
+          pack + static_cast<std::size_t>(s.ones_k[e] - s.k0) * kTn;
 #pragma GCC unroll 8
       for (int v = 0; v < TNV; ++v)
-        // 0x78 = acc ^ (av & bv): the whole Listing-2 inner op in one
-        // instruction.
-        acc[i][v] = _mm512_ternarylogic_epi64(acc[i][v], av, bv[v], 0x78);
+        acc[v] = _mm512_xor_si512(acc[v], _mm512_load_si512(bv + 8 * v));
     }
+    for (std::uint32_t e = sp.word_begin; e < sp.word_end; ++e) {
+      const __m512i av = _mm512_set1_epi64(static_cast<long long>(s.word[e]));
+      const std::uint64_t* const bv =
+          pack + static_cast<std::size_t>(s.word_k[e] - s.k0) * kTn;
+#pragma GCC unroll 8
+      for (int v = 0; v < TNV; ++v)
+        // 0x78 = acc ^ (av & b): the whole Listing-2 inner op.
+        acc[v] = _mm512_ternarylogic_epi64(
+            acc[v], av, _mm512_load_si512(bv + 8 * v), 0x78);
+    }
+#pragma GCC unroll 8
+    for (int v = 0; v < TNV; ++v) _mm512_storeu_si512(c + 8 * v, acc[v]);
   }
-#pragma GCC unroll 8
-  for (int i = 0; i < TM; ++i)
-#pragma GCC unroll 8
-    for (int v = 0; v < TNV; ++v)
-      _mm512_storeu_si512(c + i * ldc + 8 * v, acc[i][v]);
 }
 
-/// Tiles narrower than one zmm lane fall back to the portable kernel,
+/// Slivers narrower than one zmm fall back to the portable kernel,
 /// instantiated inside this anonymous namespace (it only ever runs after
 /// dispatch chose this tier, so AVX-512 codegen in it is safe).
-template <int TM, int TN>
-void micro(const std::uint64_t* a, std::size_t lda, const std::uint64_t* b,
-           std::size_t ldb, std::uint64_t* c, std::size_t ldc,
-           std::size_t k) {
+template <int TN>
+void sliver(const XorAndSliver& s) {
   if constexpr (TN % 8 == 0) {
-    micro_avx512<TM, TN / 8>(a, lda, b, ldb, c, ldc, k);
+    sliver_avx512<TN / 8>(s);
   } else {
-    micro_portable<TM, TN>(a, lda, b, ldb, c, ldc, k);
+    sliver_portable<TN>(s);
   }
 }
 

@@ -1,8 +1,8 @@
-// NEON XorAnd microkernel variant: vandq + veorq over 128-bit lanes,
-// 2 words per vector. NEON is architecturally mandatory on aarch64, so
-// no per-file flags are needed — the TU simply compiles to the stub on
-// every other architecture and the runtime detection never offers it
-// there.
+// NEON XorAnd sliver kernels: veorq (all-ones entries) or vandq + veorq
+// over 128-bit lanes, 2 words per vector. NEON is architecturally
+// mandatory on aarch64, so no per-file flags are needed — the TU simply
+// compiles to the stub on every other architecture and the runtime
+// detection never offers it there.
 
 #include "tensor/xorand_kernels.h"
 
@@ -16,42 +16,50 @@ namespace {
 
 #include "tensor/xorand_portable_micro.inc"
 
-/// TM x (2*TNV) XorAnd tile with explicit q-register accumulators.
-template <int TM, int TNV>
-void micro_neon(const std::uint64_t* a, std::size_t lda,
-                const std::uint64_t* b, std::size_t ldb, std::uint64_t* c,
-                std::size_t ldc, std::size_t k) {
-  uint64x2_t acc[TM][TNV];
-#pragma GCC unroll 8
-  for (int i = 0; i < TM; ++i)
-#pragma GCC unroll 8
-    for (int v = 0; v < TNV; ++v) acc[i][v] = vld1q_u64(c + i * ldc + 2 * v);
-  for (std::size_t l = 0; l < k; ++l) {
-    uint64x2_t bv[TNV];
-#pragma GCC unroll 8
-    for (int v = 0; v < TNV; ++v) bv[v] = vld1q_u64(b + l * ldb + 2 * v);
-#pragma GCC unroll 8
-    for (int i = 0; i < TM; ++i) {
-      const uint64x2_t av = vdupq_n_u64(a[i * lda + l]);
-#pragma GCC unroll 8
-      for (int v = 0; v < TNV; ++v)
-        acc[i][v] = veorq_u64(acc[i][v], vandq_u64(av, bv[v]));
-    }
+/// (2*TNV)-word sliver with explicit q-register accumulators.
+template <int TNV>
+void sliver_neon(const XorAndSliver& s) {
+  constexpr std::size_t kTn = 2 * TNV;
+  std::uint64_t* const pack = s.pack;
+  for (std::size_t r = 0; r < s.kk; ++r) {
+    const std::uint64_t* const src = s.b[r] + s.off;
+#pragma GCC unroll 32
+    for (int v = 0; v < TNV; ++v)
+      vst1q_u64(pack + r * kTn + 2 * v, vld1q_u64(src + 2 * v));
   }
-#pragma GCC unroll 8
-  for (int i = 0; i < TM; ++i)
-#pragma GCC unroll 8
-    for (int v = 0; v < TNV; ++v) vst1q_u64(c + i * ldc + 2 * v, acc[i][v]);
+  for (std::size_t i = 0; i < s.rows; ++i) {
+    std::uint64_t* const c = s.c[i] + s.off;
+    uint64x2_t acc[TNV];
+#pragma GCC unroll 32
+    for (int v = 0; v < TNV; ++v)
+      acc[v] = s.accumulate ? vld1q_u64(c + 2 * v) : vdupq_n_u64(0);
+    const XorAndRowSpan sp = s.spans[i];
+    for (std::uint32_t e = sp.ones_begin; e < sp.ones_end; ++e) {
+      const std::uint64_t* const bv =
+          pack + static_cast<std::size_t>(s.ones_k[e] - s.k0) * kTn;
+#pragma GCC unroll 32
+      for (int v = 0; v < TNV; ++v)
+        acc[v] = veorq_u64(acc[v], vld1q_u64(bv + 2 * v));
+    }
+    for (std::uint32_t e = sp.word_begin; e < sp.word_end; ++e) {
+      const uint64x2_t av = vdupq_n_u64(s.word[e]);
+      const std::uint64_t* const bv =
+          pack + static_cast<std::size_t>(s.word_k[e] - s.k0) * kTn;
+#pragma GCC unroll 32
+      for (int v = 0; v < TNV; ++v)
+        acc[v] = veorq_u64(acc[v], vandq_u64(av, vld1q_u64(bv + 2 * v)));
+    }
+#pragma GCC unroll 32
+    for (int v = 0; v < TNV; ++v) vst1q_u64(c + 2 * v, acc[v]);
+  }
 }
 
-template <int TM, int TN>
-void micro(const std::uint64_t* a, std::size_t lda, const std::uint64_t* b,
-           std::size_t ldb, std::uint64_t* c, std::size_t ldc,
-           std::size_t k) {
+template <int TN>
+void sliver(const XorAndSliver& s) {
   if constexpr (TN % 2 == 0) {
-    micro_neon<TM, TN / 2>(a, lda, b, ldb, c, ldc, k);
+    sliver_neon<TN / 2>(s);
   } else {
-    micro_portable<TM, TN>(a, lda, b, ldb, c, ldc, k);
+    sliver_portable<TN>(s);
   }
 }
 

@@ -1,4 +1,4 @@
-// Scalar (portable) XorAnd microkernel variant. Always compiled, with no
+// Scalar (portable) XorAnd sliver kernels. Always compiled, with no
 // target flags beyond the project defaults, so this table is the one
 // guaranteed-safe tier on any host — and the reference every SIMD
 // variant is differentially tested against.
@@ -14,11 +14,9 @@ namespace {
 
 #include "tensor/xorand_portable_micro.inc"
 
-template <int TM, int TN>
-void micro(const std::uint64_t* a, std::size_t lda, const std::uint64_t* b,
-           std::size_t ldb, std::uint64_t* c, std::size_t ldc,
-           std::size_t k) {
-  micro_portable<TM, TN>(a, lda, b, ldb, c, ldc, k);
+template <int TN>
+void sliver(const XorAndSliver& s) {
+  sliver_portable<TN>(s);
 }
 
 constexpr XorAndKernelTable kTable = TVMEC_XORAND_TABLE;

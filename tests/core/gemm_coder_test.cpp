@@ -6,7 +6,10 @@
 
 #include "../test_util.h"
 #include "baselines/naive.h"
+#include "ec/bitmatrix_code.h"
+#include "ec/lrc.h"
 #include "ec/reed_solomon.h"
+#include "tensor/kernel.h"
 
 namespace tvmec::core {
 namespace {
@@ -172,6 +175,46 @@ TEST(GemmCoder, TuneInstallsBestScheduleAndImproves) {
 TEST(GemmCoder, NameIsTvmEc) {
   const ec::ReedSolomon rs(ec::CodeParams{4, 2, 8});
   EXPECT_EQ(GemmCoder(rs.parity_matrix()).name(), "tvm-ec");
+}
+
+}  // namespace
+}  // namespace tvmec::core
+
+namespace tvmec::core {
+namespace {
+
+/// GemmCoder packs its bitmatrix once; the MatView overload of
+/// gemm_xorand packs the same masks on every call. Both must write the
+/// same bytes, for an RS and an LRC parity matrix.
+TEST(GemmCoderPacked, PackedOnceMatchesPerCallMatViewPath) {
+  const ec::ReedSolomon rs(ec::CodeParams{10, 4, 8});
+  const ec::Lrc lrc(ec::LrcParams{12, 2, 2, 8});
+  for (const gf::Matrix& matrix : {rs.parity_matrix(), lrc.parity_matrix()}) {
+    const gf::Matrix* coeffs = &matrix;
+    const GemmCoder coder(*coeffs);
+    const std::size_t unit = 8 * 1024 + 64 * 8;  // ragged against tile_n
+    const auto data = random_bytes(coeffs->cols() * unit, 77);
+    tensor::AlignedBuffer<std::uint8_t> packed(coeffs->rows() * unit);
+    coder.apply(data.span(), packed.span(), unit);
+
+    const ec::BitmatrixCode code(*coeffs);
+    const gf::BitMatrix& bits = code.bits();
+    std::vector<std::uint64_t> masks(bits.rows() * bits.cols());
+    for (std::size_t i = 0; i < bits.rows(); ++i)
+      for (std::size_t j = 0; j < bits.cols(); ++j)
+        masks[i * bits.cols() + j] = bits.get(i, j) ? ~std::uint64_t{0} : 0;
+    const std::size_t words = unit / coder.w() / 8;
+    tensor::AlignedBuffer<std::uint8_t> per_call(coeffs->rows() * unit);
+    tensor::gemm_xorand(
+        {masks.data(), bits.rows(), bits.cols(), bits.cols()},
+        {reinterpret_cast<const std::uint64_t*>(data.data()), bits.cols(),
+         words, words},
+        {reinterpret_cast<std::uint64_t*>(per_call.data()), bits.rows(),
+         words, words},
+        coder.schedule());
+    EXPECT_TRUE(std::equal(packed.span().begin(), packed.span().end(),
+                           per_call.span().begin()));
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "tensor/buffer.h"
@@ -74,10 +75,9 @@ TEST(Variant, EveryAvailableTableIsFullyPopulated) {
   for (const KernelVariant v : available_variants()) {
     const XorAndKernelTable* table = xorand_table(v);
     ASSERT_NE(table, nullptr) << to_string(v);
-    for (int mi = 0; mi < 4; ++mi)
-      for (int ni = 0; ni < 7; ++ni)
-        EXPECT_NE(table->fn[mi][ni], nullptr)
-            << to_string(v) << " tile index " << mi << "," << ni;
+    for (int ni = 0; ni < 7; ++ni)
+      EXPECT_NE(table->fn[ni], nullptr)
+          << to_string(v) << " tile_n index " << ni;
   }
 }
 
@@ -335,6 +335,163 @@ TEST(VariantDifferential, EnvForcedRunMatchesUnforced) {
 
   for (std::size_t i = 0; i < m * n; ++i)
     ASSERT_EQ(c_env[i], c_sched[i]) << "word " << i;
+}
+
+}  // namespace
+}  // namespace tvmec::tensor
+
+namespace tvmec::tensor {
+namespace {
+
+/// A operands the zero-skipping kernel must treat exactly like the dense
+/// semantics: all-zero, all-ones, zero rows and arbitrary (neither 0 nor
+/// ~0) words, mixed in one matrix.
+AlignedBuffer<std::uint64_t> edge_case_a(std::size_t m, std::size_t k,
+                                         int kind, std::mt19937_64& rng) {
+  AlignedBuffer<std::uint64_t> a(m * k);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t l = 0; l < k; ++l) {
+      std::uint64_t w = 0;
+      switch (kind) {
+        case 0:  // all zero
+          break;
+        case 1:  // all ones
+          w = ~std::uint64_t{0};
+          break;
+        default:  // every third row zero, else ones, zeros and words
+          if (i % 3 != 1) {
+            const std::uint64_t pick = rng() % 3;
+            w = pick == 0 ? 0 : pick == 1 ? ~std::uint64_t{0} : rng();
+          }
+      }
+      a[i * k + l] = w;
+    }
+  return a;
+}
+
+TEST(PackedXorAnd, EveryVariantMatchesNaiveOnEdgeCaseOperands) {
+  ForceRestorer restore;
+  set_forced_variant(std::nullopt);
+  std::mt19937_64 rng(99);
+  const struct {
+    std::size_t m, n, k;
+  } shapes[] = {{5, 37, 19}, {16, 100, 80}, {1, 3, 1}};
+  for (const KernelVariant v : available_variants()) {
+    for (const auto& sh : shapes) {
+      for (const int kind : {0, 1, 2}) {
+        const AlignedBuffer<std::uint64_t> a =
+            edge_case_a(sh.m, sh.k, kind, rng);
+        AlignedBuffer<std::uint64_t> b(sh.k * sh.n);
+        fill_words(b.data(), b.size(), rng);
+        const MatView<const std::uint64_t> av{a.data(), sh.m, sh.k, sh.k};
+        const MatView<const std::uint64_t> bv{b.data(), sh.k, sh.n, sh.n};
+        AlignedBuffer<std::uint64_t> ref(sh.m * sh.n);
+        gemm_naive_xorand(av, bv, {ref.data(), sh.m, sh.n, sh.n});
+        for (const int tn : {1, 8, 16, 64}) {
+          for (const std::size_t bk : {std::size_t{0}, std::size_t{7}}) {
+            Schedule s;
+            s.tile_n = tn;
+            s.block_k = bk;  // 7 divides none of the K above but 1
+            s.block_n = 24;
+            s.variant = v;
+            // Strided C: one spare word per row must stay untouched.
+            const std::size_t ldc = sh.n + 1;
+            std::vector<std::uint64_t> c(sh.m * ldc, 0x5A5A);
+            gemm_xorand(av, bv, {c.data(), sh.m, sh.n, ldc}, s);
+            for (std::size_t i = 0; i < sh.m; ++i) {
+              for (std::size_t j = 0; j < sh.n; ++j)
+                ASSERT_EQ(c[i * ldc + j], ref[i * sh.n + j])
+                    << to_string(v) << " kind " << kind << " tn " << tn
+                    << " bk " << bk << " m=" << sh.m << " n=" << sh.n;
+              ASSERT_EQ(c[i * ldc + sh.n], 0x5A5Au) << "stride pad clobbered";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedXorAnd, PackKeepsOnlyNonzeroWordsInKOrder) {
+  const std::uint64_t ones = ~std::uint64_t{0};
+  const std::uint64_t a[2 * 4] = {0, ones, 0x0F, ones,  // row 0
+                                  0, 0,    0,    0};    // row 1
+  const PackedXorAndA p = PackedXorAndA::pack({a, 2, 4, 4});
+  EXPECT_EQ(p.ones_k, (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_EQ(p.ones_row, (std::vector<std::uint32_t>{0, 2, 2}));
+  EXPECT_EQ(p.word_k, (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(p.word, (std::vector<std::uint64_t>{0x0F}));
+  EXPECT_EQ(p.word_row, (std::vector<std::uint32_t>{0, 1, 1}));
+}
+
+TEST(PackedXorAnd, ScatteredFragmentsSplittingASliverMatchNaive) {
+  ForceRestorer restore;
+  set_forced_variant(std::nullopt);
+  const std::size_t m = 9, n = 150, k = 23;
+  std::mt19937_64 rng(5);
+  const AlignedBuffer<std::uint64_t> a = edge_case_a(m, k, 2, rng);
+  AlignedBuffer<std::uint64_t> b(k * n), ref(m * n), out(m * n);
+  fill_words(b.data(), b.size(), rng);
+  const MatView<const std::uint64_t> av{a.data(), m, k, k};
+  gemm_naive_xorand(av, {b.data(), k, n, n}, {ref.data(), m, n, n});
+  // Fragments of 5..40 words: most panels hold some rows in place and
+  // gather or stage the others, and fragment ends fall inside slivers.
+  const auto split = [&rng](auto* base, std::size_t words) {
+    using T = std::remove_reference_t<decltype(*base)>;
+    std::vector<Fragment<T>> frags;
+    for (std::size_t pos = 0; pos < words;) {
+      const std::size_t len =
+          std::min<std::size_t>(words - pos, 5 + rng() % 36);
+      frags.push_back({base + pos, len});
+      pos += len;
+    }
+    return frags;
+  };
+  for (const KernelVariant v : available_variants()) {
+    for (const int threads : {1, 3}) {
+      Schedule s;
+      s.tile_n = 16;
+      s.block_k = 10;
+      s.block_n = 64;
+      s.num_threads = threads;
+      s.variant = v;
+      std::fill(out.data(), out.data() + out.size(), 0);
+      gemm_xorand_scattered(
+          av, {k, n, split(static_cast<const std::uint64_t*>(b.data()), k * n)},
+          {m, n, split(out.data(), m * n)}, s);
+      for (std::size_t i = 0; i < m * n; ++i)
+        ASSERT_EQ(out[i], ref[i]) << to_string(v) << " threads " << threads
+                                  << " word " << i;
+    }
+  }
+}
+
+TEST(PackedXorAnd, CancelObservedMidKernelAtChunkGranularity) {
+  // A serial cancellable run polls between N chunks of at least 4096
+  // words; cancelling from another thread while it runs must throw
+  // Cancelled (or finish first on a fast host), never return garbage
+  // without noticing.
+  const std::size_t m = 8, k = 16, n = 16 * 4096;
+  std::mt19937_64 rng(3);
+  AlignedBuffer<std::uint64_t> a(m * k), b(k * n), c(m * n);
+  fill_mask(a.data(), a.size(), rng);
+  fill_words(b.data(), b.size(), rng);
+  Schedule s = default_schedule();
+  CancelSource source;
+  std::thread canceller([&] { source.request_cancel(); });
+  bool cancelled = false;
+  try {
+    gemm_xorand({a.data(), m, k, k}, {b.data(), k, n, n}, {c.data(), m, n, n},
+                s, source.token());
+  } catch (const Cancelled&) {
+    cancelled = true;
+  }
+  canceller.join();
+  // Once the flag is set, the next call observes it before any chunk.
+  EXPECT_THROW(gemm_xorand({a.data(), m, k, k}, {b.data(), k, n, n},
+                           {c.data(), m, n, n}, s, source.token()),
+               Cancelled);
+  (void)cancelled;
 }
 
 }  // namespace
